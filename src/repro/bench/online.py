@@ -23,7 +23,6 @@ other benchmark logs.
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 from pathlib import Path
 from typing import Sequence
@@ -31,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ..detection.anomaly import AnomalyDetector
-from ..obs import MetricsRegistry, Stopwatch, get_logger
+from ..obs import MetricsRegistry, Stopwatch, atomic_write_text, get_logger
 from ..pipeline.artifacts import ArtifactStore
 from ..pipeline.framework import AnalyticsFramework
 from ..scenarios import generate_scenario, harness_framework_config
@@ -233,17 +232,5 @@ def append_online_record(record: dict, path: "str | Path") -> dict:
         for existing in payload["records"]
         if (existing["shards"], existing["tenants"], existing["seed"]) != key
     ] + [record]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle, temp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(handle, "w") as stream:
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
-        os.replace(temp_name, path)
-    except BaseException:
-        if os.path.exists(temp_name):
-            os.unlink(temp_name)
-        raise
+    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
     return payload

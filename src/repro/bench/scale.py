@@ -25,7 +25,6 @@ tracked in ``BENCH_scenarios.json``.
 from __future__ import annotations
 
 import json
-import os
 import resource
 import tempfile
 import tracemalloc
@@ -34,7 +33,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from ..lang.events import MultivariateEventLog
-from ..obs import MetricsRegistry, Stopwatch, get_logger
+from ..obs import MetricsRegistry, Stopwatch, atomic_write_text, get_logger
 from ..pipeline.framework import AnalyticsFramework
 from ..scenarios.harness import harness_framework_config
 
@@ -337,17 +336,5 @@ def append_scale_record(record: dict, path: "str | Path") -> dict:
         for existing in payload["records"]
         if (existing["tier"], existing["chunk_size"], existing["seed"]) != key
     ] + [record]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle, temp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(handle, "w") as stream:
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
-        os.replace(temp_name, path)
-    except BaseException:
-        if os.path.exists(temp_name):
-            os.unlink(temp_name)
-        raise
+    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
     return payload

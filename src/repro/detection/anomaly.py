@@ -1,23 +1,26 @@
-"""Online anomaly detection (Algorithm 2).
+"""Anomaly detection (Algorithm 2).
 
 Given the trained relationship graph and a testing log, every valid
 pair model re-translates the test sentences; window ``t``'s test BLEU
-``f(i, j)`` is compared to the training score ``s(i, j)``.  A pair is
-*broken* when ``f < s``; the anomaly score ``a_t`` is the fraction of
+``f(i, j)`` is compared to the break threshold ``T(i, j)``.  A pair is
+*broken* when ``f < T``; the anomaly score ``a_t`` is the fraction of
 valid pairs broken at ``t`` and ``W_t`` records which pairs broke.
+
+:meth:`AnomalyDetector.score_block` is the only implementation of that
+rule; batch detection and the online detector both score through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..graph.mvrg import MultivariateRelationshipGraph
 from ..graph.ranges import DETECTION_RANGE, ScoreRange
 from ..lang.events import MultivariateEventLog
-from ..obs import MetricsRegistry, Stopwatch, get_logger
+from ..obs import Histogram, MetricsRegistry, Stopwatch, get_logger
 from ..translation.bleu import sentence_bleu
 from .validity import valid_detection_pairs
 
@@ -107,6 +110,7 @@ class AnomalyDetector:
         self,
         graph: MultivariateRelationshipGraph,
         score_range: ScoreRange = DETECTION_RANGE,
+        *,
         margin: float = 0.0,
         threshold: str = "dev-quantile",
         quantile: float = 0.05,
@@ -145,12 +149,61 @@ class AnomalyDetector:
         """
         return valid_detection_pairs(self.graph, self.score_range, sensors)
 
+    def scoring_pairs(
+        self, sensors: Sequence[str] | None = None
+    ) -> tuple[list[tuple[str, str]], np.ndarray]:
+        """The valid pairs and their break thresholds ``T(i, j)``; raises
+        ``ValueError`` when no pair model lies in the score range."""
+        pairs = self.valid_pairs(sensors)
+        if not pairs:
+            raise ValueError(
+                f"no valid pair models in range {self.score_range}; "
+                "choose a different score range or retrain"
+            )
+        thresholds = np.array(
+            [self.graph[pair].threshold(self.threshold, self.quantile) for pair in pairs],
+            dtype=float,
+        )
+        return pairs, thresholds
+
+    def score_block(
+        self,
+        pairs: Sequence[tuple[str, str]],
+        thresholds: np.ndarray,
+        sentences: Mapping[str, Sequence],
+        window_count: int,
+        pair_seconds: Histogram | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Algorithm 2 over a block of ``window_count`` windows.
+
+        ``sentences`` maps each sensor of ``pairs`` to time-aligned
+        sentences; each pair translates the block in one call and breaks
+        where its test BLEU falls below ``thresholds - margin``.  Returns
+        ``(test_scores, alerts)``, both ``(window_count, len(pairs))``.
+        ``pair_seconds`` observes each pair's translate+score seconds.
+        """
+        test_scores = np.zeros((window_count, len(pairs)))
+        watch = Stopwatch()
+        for column, (source, target) in enumerate(pairs):
+            translations = self.graph[(source, target)].model.translate(
+                sentences[source][:window_count]
+            )
+            references = sentences[target]
+            for window in range(window_count):
+                test_scores[window, column] = sentence_bleu(
+                    translations[window], references[window]
+                )
+            if pair_seconds is not None:
+                pair_seconds.observe(watch.split())
+        alerts = test_scores < (thresholds[None, :] - self.margin)
+        return test_scores, alerts
+
     def detect(
         self,
         test_log: MultivariateEventLog,
         sentence_cache: dict[str, list] | None = None,
     ) -> DetectionResult:
-        """Run Algorithm 2 over a testing log.
+        """Run Algorithm 2 over a testing log, scored as one block.
 
         Sentences are generated with the *training* languages in their
         native representation — packed integer words on the columnar
@@ -168,12 +221,7 @@ class AnomalyDetector:
         from ..pipeline.artifacts import fingerprint_log
 
         watch = Stopwatch()
-        pairs = self.valid_pairs(test_log.sensors)
-        if not pairs:
-            raise ValueError(
-                f"no valid pair models in range {self.score_range}; "
-                "choose a different score range or retrain"
-            )
+        pairs, thresholds = self.scoring_pairs(test_log.sensors)
         corpus = self.graph.corpus
         involved = sorted({sensor for pair in pairs for sensor in pair})
         sentences = {} if sentence_cache is None else sentence_cache
@@ -198,22 +246,13 @@ class AnomalyDetector:
             )
 
         metrics = self.metrics
-        test_scores = np.zeros((window_count, len(pairs)))
-        training_scores = np.zeros(len(pairs))
-        thresholds = np.zeros(len(pairs))
-        pair_seconds = metrics.histogram("detect.pair_seconds")
-        for column, (source, target) in enumerate(pairs):
-            with pair_seconds.time():
-                rel = self.graph[(source, target)]
-                training_scores[column] = rel.score
-                thresholds[column] = rel.threshold(self.threshold, self.quantile)
-                translations = rel.model.translate(sentences[source][:window_count])
-                for window in range(window_count):
-                    test_scores[window, column] = sentence_bleu(
-                        translations[window], sentences[target][window]
-                    )
-
-        alerts = test_scores < (thresholds[None, :] - self.margin)
+        test_scores, alerts = self.score_block(
+            pairs,
+            thresholds,
+            sentences,
+            window_count,
+            pair_seconds=metrics.histogram("detect.pair_seconds"),
+        )
         anomaly_scores = alerts.mean(axis=1)
 
         seconds = watch.elapsed
@@ -244,5 +283,7 @@ class AnomalyDetector:
             anomaly_scores=anomaly_scores,
             alerts=alerts,
             test_scores=test_scores,
-            training_scores=training_scores,
+            training_scores=np.array(
+                [self.graph[pair].score for pair in pairs], dtype=float
+            ),
         )

@@ -3,10 +3,12 @@
 Production deployments receive sensor events incrementally, not as a
 complete testing log.  :class:`OnlineAnomalyDetector` wraps the batch
 Algorithm 2 with a sliding buffer: push one multivariate sample at a
-time; whenever enough samples have accumulated to complete a new
-sentence window, the window is scored and an
-:class:`~repro.detection.anomaly.DetectionResult`-style record is
-emitted.
+time; whenever enough samples have accumulated to complete new
+sentence windows, they are scored and a :class:`WindowScore` is
+emitted per window.  Scoring goes through the batch detector's
+:meth:`~repro.detection.anomaly.AnomalyDetector.score_block`: the
+windows one ingest call completes form one block, so each pair makes
+one ``translate`` call per ingest.
 
 The detection latency therefore equals the sentence span (the paper's
 "granularity of detection"): with the plant settings, one score every
@@ -50,8 +52,7 @@ import numpy as np
 from ..graph.mvrg import MultivariateRelationshipGraph
 from ..graph.ranges import DETECTION_RANGE, ScoreRange
 from ..obs import MetricsRegistry, Stopwatch, get_logger
-from ..translation.bleu import sentence_bleu
-from .validity import valid_detection_pairs
+from .anomaly import AnomalyDetector
 
 __all__ = ["OnlineAnomalyDetector", "WindowScore"]
 
@@ -75,7 +76,7 @@ class OnlineAnomalyDetector:
     ----------
     graph:
         Trained relationship graph (Algorithm 1 output).
-    score_range, threshold, quantile, margin:
+    score_range, margin, threshold, quantile:
         As in :class:`~repro.detection.anomaly.AnomalyDetector`.
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry` the detector
@@ -83,33 +84,29 @@ class OnlineAnomalyDetector:
         per-window scoring latency — the serving hot path); a private
         registry is created when omitted.
 
-    The valid-pair set is the shared
-    :func:`~repro.detection.validity.valid_detection_pairs` definition,
-    so the streaming path counts exactly the pairs the batch
-    :class:`~repro.detection.anomaly.AnomalyDetector` counts —
-    including the dev-BLEU-0.0 exclusion (a never-breakable pair would
-    otherwise dilute ``a_t`` relative to batch).
+    The valid pairs and their thresholds come from the wrapped
+    :class:`~repro.detection.anomaly.AnomalyDetector`, computed once at
+    construction, so the streaming path scores exactly the pairs the
+    batch path scores.
     """
 
     def __init__(
         self,
         graph: MultivariateRelationshipGraph,
         score_range: ScoreRange = DETECTION_RANGE,
+        *,
+        margin: float = 0.0,
         threshold: str = "dev-quantile",
         quantile: float = 0.05,
-        margin: float = 0.0,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.graph = graph
         self.score_range = score_range
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._pairs = valid_detection_pairs(graph, score_range)
-        if not self._pairs:
-            raise ValueError(f"no valid pair models in range {score_range}")
-        self._thresholds = {
-            pair: graph[pair].threshold(threshold, quantile) - margin
-            for pair in self._pairs
-        }
+        self._detector = AnomalyDetector(
+            graph, score_range, margin=margin, threshold=threshold, quantile=quantile
+        )
+        self._pairs, self._thresholds = self._detector.scoring_pairs()
         self._sensors = sorted({s for pair in self._pairs for s in pair})
         # The sliding buffers assume every monitored sensor shares one
         # windowing config; divergent per-sensor configs would let the
@@ -144,6 +141,10 @@ class OnlineAnomalyDetector:
             self.metrics.counter(name)
 
     # ------------------------------------------------------------------
+    def valid_pairs(self) -> list[tuple[str, str]]:
+        """The directed pairs every window is scored over, in order."""
+        return list(self._pairs)
+
     @property
     def window_span(self) -> int:
         """Samples covered by one sentence window."""
@@ -279,14 +280,11 @@ class OnlineAnomalyDetector:
         """
         base_length = self._samples_seen - self._trimmed
         clocks = (self._samples_seen, self._windows_emitted)
-        emitted: list[WindowScore] = []
-        seconds: list[float] = []
         try:
             for name in self._sensors:
                 self._buffers[name].extend(codes[name])
             self._samples_seen += count
-            while self._next_window_start() + self.window_span <= self._samples_seen:
-                emitted.append(self._score_window(seconds))
+            emitted, seconds = self._score_block()
         except BaseException:
             for name in self._sensors:
                 del self._buffers[name][base_length:]
@@ -296,60 +294,60 @@ class OnlineAnomalyDetector:
         self._commit_metrics(count, emitted, seconds)
         return emitted
 
-    def _score_window(self, seconds: list[float]) -> WindowScore:
-        """Score the next due window; only the window clock advances.
+    def _score_block(self) -> tuple[list[WindowScore], float]:
+        """Score every due window as one block; returns them and its seconds.
 
-        Metric commits live in :meth:`_commit_metrics` so a later window
-        failing in the same ingest call leaves no half-recorded state.
-        """
+        Only the window clock advances: metrics commit in
+        :meth:`_commit_metrics`, so a failing block records nothing."""
+        span, stride = self.window_span, self.window_stride
+        due = (self._samples_seen - span) // stride + 1 - self._windows_emitted
+        if due <= 0:
+            return [], 0.0
         watch = Stopwatch()
-        start = self._next_window_start()
-        stop = start + self.window_span
-        sentences: dict[str, tuple] = {}
-        for name in self._sensors:
-            codes = self._buffers[name][start - self._trimmed : stop - self._trimmed]
-            language = self.graph.corpus[name]
-            window_sentences = language.sentences_from_codes(codes)
-            assert window_sentences, "window span guarantees one sentence"
-            sentences[name] = window_sentences[0]
-
-        broken: list[tuple[str, str]] = []
-        for pair in self._pairs:
-            source, target = pair
-            translation = self.graph[pair].model.translate([sentences[source]])[0]
-            score = sentence_bleu(translation, sentences[target])
-            if score < self._thresholds[pair]:
-                broken.append(pair)
-
-        window = WindowScore(
-            window_index=self._windows_emitted,
-            start_sample=start,
-            anomaly_score=len(broken) / len(self._pairs),
-            broken_pairs=tuple(broken),
+        first = self._next_window_start()
+        low = first - self._trimmed
+        high = low + (due - 1) * stride + span
+        sentences = {
+            name: self.graph.corpus[name].sentences_from_codes(self._buffers[name][low:high])
+            for name in self._sensors
+        }
+        _, alerts = self._detector.score_block(
+            self._pairs, self._thresholds, sentences, due
         )
-        self._windows_emitted += 1
-        elapsed = watch.elapsed
-        seconds.append(elapsed)
+        emitted = []
+        for offset, flags in enumerate(alerts):
+            broken = tuple(self._pairs[column] for column in np.flatnonzero(flags))
+            emitted.append(
+                WindowScore(
+                    window_index=self._windows_emitted + offset,
+                    start_sample=first + offset * stride,
+                    anomaly_score=len(broken) / len(self._pairs),
+                    broken_pairs=broken,
+                )
+            )
+        self._windows_emitted += due
+        seconds = watch.elapsed
+        breaks = int(alerts.sum())
         logger.debug(
-            "window %d (start sample %d): a_t=%.4f, %d/%d pairs broken "
-            "in %.4fs",
-            window.window_index,
-            window.start_sample,
-            window.anomaly_score,
-            len(broken),
+            "windows %d-%d (start sample %d) scored as one block in %.4fs: "
+            "%d pair breaks over %d pairs",
+            emitted[0].window_index,
+            emitted[-1].window_index,
+            first,
+            seconds,
+            breaks,
             len(self._pairs),
-            elapsed,
             extra={
-                "window_index": window.window_index,
-                "anomaly_score": window.anomaly_score,
-                "broken_pairs": len(broken),
-                "seconds": elapsed,
+                "window_index": emitted[0].window_index,
+                "windows": due,
+                "pairs_broken": breaks,
+                "seconds": seconds,
             },
         )
-        return window
+        return emitted, seconds
 
     def _commit_metrics(
-        self, count: int, emitted: list[WindowScore], seconds: list[float]
+        self, count: int, emitted: list[WindowScore], seconds: float
     ) -> None:
         """Record one successful ingest call's counters in one pass."""
         self.metrics.counter("online.samples_ingested").inc(count)
@@ -362,9 +360,10 @@ class OnlineAnomalyDetector:
                 sum(len(window.broken_pairs) for window in emitted)
             )
             window_seconds = self.metrics.histogram("online.window_seconds")
-            for elapsed in seconds:
-                # The serving hot path: one observation per emitted window.
-                window_seconds.observe(elapsed)
+            for _ in emitted:
+                # The serving hot path: one observation per emitted
+                # window, each the block's seconds over its window count.
+                window_seconds.observe(seconds / len(emitted))
         self.metrics.gauge("online.pending_samples").set(self.pending_samples)
 
     def _trim_buffers(self) -> None:
@@ -394,7 +393,7 @@ class OnlineAnomalyDetector:
             "window_span": self.window_span,
             "window_stride": self.window_stride,
             "pairs": [list(pair) for pair in self._pairs],
-            "thresholds": [self._thresholds[pair] for pair in self._pairs],
+            "thresholds": (self._thresholds - self._detector.margin).tolist(),
         }
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()

@@ -24,6 +24,7 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    atomic_write_text,
 )
 from .timing import Stopwatch, span, timed
 
@@ -36,6 +37,7 @@ __all__ = [
     "ROOT_LOGGER",
     "SNAPSHOT_SCHEMA",
     "Stopwatch",
+    "atomic_write_text",
     "configure_logging",
     "get_logger",
     "span",

@@ -41,10 +41,29 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "SNAPSHOT_SCHEMA",
+    "atomic_write_text",
 ]
 
 #: Format tag embedded in every snapshot (bump on breaking changes).
 SNAPSHOT_SCHEMA = "repro-metrics-v1"
+
+
+def atomic_write_text(path: str | Path, text: str) -> Path:
+    """Write already-serialised ``text`` to ``path`` via a temp file and
+    ``os.replace``, so a crashed writer leaves the old file or the new
+    one, never a torn one.  Creates parent directories; returns the path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    handle, temp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as stream:
+            stream.write(text)
+        os.replace(temp_name, path)
+    except BaseException:
+        if os.path.exists(temp_name):
+            os.unlink(temp_name)
+        raise
+    return path
 
 
 class _Metric:
@@ -293,21 +312,8 @@ class MetricsRegistry:
 
     def write_json(self, path: str | Path) -> Path:
         """Write :meth:`snapshot` to ``path`` atomically; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(self.snapshot(), indent=2, sort_keys=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
+        text = json.dumps(self.snapshot(), indent=2, sort_keys=True) + "\n"
+        return atomic_write_text(path, text)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MetricsRegistry({len(self._metrics)} metrics)"

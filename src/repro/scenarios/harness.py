@@ -22,8 +22,6 @@ doubles as the determinism check: regenerating from the same
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -40,7 +38,7 @@ from ..detection.evaluation import (
 from ..graph.ranges import ScoreRange
 from ..lang.corpus import LanguageConfig
 from ..lang.events import MultivariateEventLog
-from ..obs import MetricsRegistry, Stopwatch, get_logger
+from ..obs import MetricsRegistry, Stopwatch, atomic_write_text, get_logger
 from ..pipeline.config import FrameworkConfig
 from ..pipeline.framework import AnalyticsFramework
 from .generators import ScenarioData, ScenarioParams, TIERS, generate_scenario, scenario_names
@@ -350,19 +348,7 @@ def append_bench_record(record: dict, path: str | Path) -> dict:
         for existing in payload["records"]
         if (existing["scenario"], existing.get("tier"), existing["seed"]) != key
     ] + [record]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle, temp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(handle, "w") as stream:
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
-        os.replace(temp_name, path)
-    except BaseException:
-        if os.path.exists(temp_name):
-            os.unlink(temp_name)
-        raise
+    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
     return payload
 
 

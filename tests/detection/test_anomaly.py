@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.detection import AnomalyDetector
+from repro.detection import AnomalyDetector, OnlineAnomalyDetector
 from repro.graph import PairwiseRelationship, ScoreRange
 
 
@@ -118,6 +118,25 @@ class TestDetectorValidation:
     def test_bad_quantile_rejected(self, fitted_plant_framework):
         with pytest.raises(ValueError):
             AnomalyDetector(fitted_plant_framework.graph, quantile=1.5)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"margin": -1.0}, {"threshold": "vibes"}, {"quantile": 1.5}],
+        ids=["margin", "threshold", "quantile"],
+    )
+    def test_online_detector_raises_the_same_errors(self, fitted_plant_framework, bad):
+        graph = fitted_plant_framework.graph
+        with pytest.raises(ValueError) as batch_error:
+            AnomalyDetector(graph, **bad)
+        with pytest.raises(ValueError) as online_error:
+            OnlineAnomalyDetector(graph, **bad)
+        assert str(online_error.value) == str(batch_error.value)
+
+    @pytest.mark.parametrize("detector", [AnomalyDetector, OnlineAnomalyDetector])
+    def test_threshold_arguments_are_keyword_only(self, fitted_plant_framework, detector):
+        r = fitted_plant_framework.config.detection_range
+        with pytest.raises(TypeError):
+            detector(fitted_plant_framework.graph, r, 0.0)
 
     def test_short_test_log_rejected(self, fitted_plant_framework, plant_dataset):
         tiny = plant_dataset.log.slice(0, 3)

@@ -51,9 +51,9 @@ class _FlakyModel:
         return self._inner.translate(sentences)
 
 
-def _flaky_graph(graph: MultivariateRelationshipGraph, fail_on_call: int):
-    """A graph copy whose first relationship's model fails once."""
-    pair = next(iter(graph.relationships))
+def _flaky_graph(graph: MultivariateRelationshipGraph, fail_on_call: int, pair=None):
+    """A graph copy whose ``pair`` model (default: the first) fails once."""
+    pair = pair or next(iter(graph.relationships))
     relationships = dict(graph.relationships)
     flaky = _FlakyModel(relationships[pair].model, fail_on_call)
     relationships[pair] = dataclasses.replace(relationships[pair], model=flaky)
@@ -63,9 +63,11 @@ def _flaky_graph(graph: MultivariateRelationshipGraph, fail_on_call: int):
 class TestFailureAtomicity:
     def test_failed_ingest_rolls_back_completely(self, lifecycle_setup):
         graph, test = lifecycle_setup
-        # Fail while scoring the *second* window of a multi-window
-        # chunk, so the rollback must also undo the first window.
-        flaky_graph, _ = _flaky_graph(graph, fail_on_call=2)
+        # Fail in the last pair's translate of a multi-window chunk:
+        # every earlier pair has already scored the whole block, so the
+        # rollback must undo a block that was all but scored.
+        last_pair = OnlineAnomalyDetector(graph, FULL_RANGE).valid_pairs()[-1]
+        flaky_graph, _ = _flaky_graph(graph, fail_on_call=1, pair=last_pair)
         detector = OnlineAnomalyDetector(flaky_graph, FULL_RANGE)
         span, stride = detector.window_span, detector.window_stride
         chunk = _chunk(test, 0, span + 2 * stride)

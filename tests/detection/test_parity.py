@@ -1,20 +1,25 @@
-"""Batch/online detection parity regression suite.
+"""Batch/online detection agreement.
 
-The streaming :class:`OnlineAnomalyDetector` must be a faithful
-incremental rendering of the batch :class:`AnomalyDetector`: same valid
-pairs, same window indices, same broken-pair sets, same scores.  These
-tests pin that contract, including the historical divergence — the
-online path used to count dev-BLEU-0.0 pairs the batch path excluded,
-silently diluting ``a_t``.
+The streaming :class:`OnlineAnomalyDetector` scores through the batch
+:class:`AnomalyDetector`'s block scorer, so the two must agree on valid
+pairs, window indices, broken-pair sets and scores however the stream
+is chunked.  These tests pin that contract, including the historical
+divergence — the online path used to count dev-BLEU-0.0 pairs the batch
+path excluded, silently diluting ``a_t`` — and the stream fingerprint
+that snapshots already on disk carry.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from repro.detection import AnomalyDetector, OnlineAnomalyDetector, valid_detection_pairs
 from repro.graph import MultivariateRelationshipGraph, ScoreRange
@@ -56,7 +61,7 @@ class TestValidPairParity:
         graph, _ = parity_setup
         batch = AnomalyDetector(graph, FULL_RANGE)
         online = OnlineAnomalyDetector(graph, FULL_RANGE)
-        assert online._pairs == batch.valid_pairs()
+        assert online.valid_pairs() == batch.valid_pairs()
 
     def test_zero_score_pair_excluded_on_both_paths(self, parity_setup):
         graph, _ = parity_setup
@@ -64,7 +69,7 @@ class TestValidPairParity:
         shared = valid_detection_pairs(zeroed, FULL_RANGE)
         assert zeroed_pair not in shared
         assert AnomalyDetector(zeroed, FULL_RANGE).valid_pairs() == shared
-        assert OnlineAnomalyDetector(zeroed, FULL_RANGE)._pairs == shared
+        assert OnlineAnomalyDetector(zeroed, FULL_RANGE).valid_pairs() == shared
 
     def test_zero_score_pair_excluded_even_from_zero_based_range(self, parity_setup):
         """``contains(0.0)`` being true must not resurrect the pair."""
@@ -96,35 +101,9 @@ class TestScoreParity:
         assert len(emitted) >= 10
         assert [w.window_index for w in emitted] == list(range(len(emitted)))
         for window in emitted:
-            np.testing.assert_allclose(
-                window.anomaly_score,
-                batch.anomaly_scores[window.window_index],
-                atol=1e-12,
-            )
-            assert set(window.broken_pairs) == set(
-                batch.broken_pairs(window.window_index)
-            )
-
-    def test_parity_holds_with_a_dev_bleu_zero_pair(self, parity_setup):
-        """The regression: a never-breakable 0.0 pair must not dilute the
-        online ``a_t`` relative to batch."""
-        graph, test = parity_setup
-        zeroed, _ = _zeroed_graph(graph)
-        batch = AnomalyDetector(zeroed, FULL_RANGE).detect(test)
-        online = OnlineAnomalyDetector(zeroed, FULL_RANGE)
-        limit = online.window_span + 8 * online.window_stride
-        emitted = _stream(online, test, limit)
-
-        assert emitted
-        for window in emitted:
-            np.testing.assert_allclose(
-                window.anomaly_score,
-                batch.anomaly_scores[window.window_index],
-                atol=1e-12,
-            )
-            assert set(window.broken_pairs) == set(
-                batch.broken_pairs(window.window_index)
-            )
+            row = window.window_index
+            assert np.array_equal(window.anomaly_score, batch.anomaly_scores[row])
+            assert list(window.broken_pairs) == batch.broken_pairs(row)
 
 
 class TestSentenceCacheValidation:
@@ -154,6 +133,33 @@ class TestSentenceCacheValidation:
             detector.detect(other, sentence_cache=cache)
 
 
+@pytest.fixture(scope="module")
+def scenario_graph():
+    """Graph and test log of the tiny-tier cascade fault scenario."""
+    from repro.pipeline.framework import AnalyticsFramework
+    from repro.scenarios import generate_scenario, harness_framework_config
+
+    data = generate_scenario("cascade", tier="tiny", seed=11)
+    train, dev, test, _ = data.split()
+    framework = AnalyticsFramework(harness_framework_config()).fit(train, dev)
+    return framework.graph, test
+
+
+@pytest.fixture(scope="module", params=["trained", "zero-pair"])
+def scenario_streams(request, scenario_graph):
+    """Batch detection and the per-sample ``push`` stream of one graph.
+
+    The ``zero-pair`` variant carries a never-breakable 0.0 pair, which
+    must not dilute the online ``a_t`` relative to batch.
+    """
+    graph, test = scenario_graph
+    if request.param == "zero-pair":
+        graph, _ = _zeroed_graph(graph)
+    batch = AnomalyDetector(graph, FULL_RANGE).detect(test)
+    per_sample = _stream(OnlineAnomalyDetector(graph, FULL_RANGE), test, test.num_samples)
+    return graph, test, batch, per_sample
+
+
 class TestScenarioParity:
     """Batch/online agreement on a generated fault scenario.
 
@@ -162,18 +168,8 @@ class TestScenarioParity:
     actually exercises the incremental bookkeeping.
     """
 
-    @pytest.fixture(scope="class")
-    def scenario_setup(self):
-        from repro.pipeline.framework import AnalyticsFramework
-        from repro.scenarios import generate_scenario, harness_framework_config
-
-        data = generate_scenario("cascade", tier="tiny", seed=11)
-        train, dev, test, _ = data.split()
-        framework = AnalyticsFramework(harness_framework_config()).fit(train, dev)
-        return framework.graph, test
-
-    def test_online_matches_batch_on_faulty_scenario(self, scenario_setup):
-        graph, test = scenario_setup
+    def test_online_matches_batch_on_faulty_scenario(self, scenario_graph):
+        graph, test = scenario_graph
         batch = AnomalyDetector(graph, FULL_RANGE).detect(test)
         online = OnlineAnomalyDetector(graph, FULL_RANGE)
         emitted = _stream(online, test, test.num_samples)
@@ -182,14 +178,69 @@ class TestScenarioParity:
         # The injected cascade must actually break pairs somewhere.
         assert any(window.broken_pairs for window in emitted)
         for window in emitted:
-            np.testing.assert_allclose(
-                window.anomaly_score,
-                batch.anomaly_scores[window.window_index],
-                atol=1e-12,
-            )
-            assert set(window.broken_pairs) == set(
-                batch.broken_pairs(window.window_index)
-            )
+            row = window.window_index
+            assert np.array_equal(window.anomaly_score, batch.anomaly_scores[row])
+            assert list(window.broken_pairs) == batch.broken_pairs(row)
+
+
+class TestChunkBoundaries:
+    """Chunk boundaries must not matter: any split of the stream into
+    ``push_chunk`` blocks emits the per-sample ``push`` windows, and
+    every window equals its batch row."""
+
+    # No shrink phase: each example streams the whole log, and shrinking
+    # a failure would replay it thousands of times.
+    @settings(
+        max_examples=10,
+        deadline=None,
+        phases=(Phase.explicit, Phase.reuse, Phase.generate),
+    )
+    @given(data=st.data())
+    def test_chunks_match_push_and_batch(self, scenario_streams, data):
+        graph, test, batch, per_sample = scenario_streams
+        detector = OnlineAnomalyDetector(graph, FULL_RANGE)
+        sizes = st.integers(1, 3 * detector.window_stride)
+        emitted, start = [], 0
+        while start < test.num_samples:
+            stop = start + data.draw(sizes)
+            chunk = {name: test[name].events[start:stop] for name in test.sensors}
+            emitted.extend(detector.push_chunk(chunk))
+            start = stop
+
+        assert emitted == per_sample
+        assert [w.window_index for w in emitted] == list(range(batch.num_windows))
+        # The injected cascade must actually break pairs somewhere.
+        assert any(window.broken_pairs for window in emitted)
+        for window in emitted:
+            row = window.window_index
+            assert np.array_equal(window.anomaly_score, batch.anomaly_scores[row])
+            assert list(window.broken_pairs) == batch.broken_pairs(row)
+
+
+class TestStreamFingerprint:
+    def test_payload_is_pinned(self, scenario_graph):
+        """A snapshot restores only onto a detector with the same
+        fingerprint, so its payload and digest must not drift."""
+        graph, _ = scenario_graph
+        detector = OnlineAnomalyDetector(
+            graph, FULL_RANGE, margin=0.5, threshold="dev-min"
+        )
+        pairs = detector.valid_pairs()
+        payload = {
+            "sensors": sorted({sensor for pair in pairs for sensor in pair}),
+            "window_span": detector.window_span,
+            "window_stride": detector.window_stride,
+            "pairs": [list(pair) for pair in pairs],
+            "thresholds": [graph[pair].threshold("dev-min") - 0.5 for pair in pairs],
+        }
+        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+        assert detector.stream_fingerprint() == hashlib.sha256(blob).hexdigest()
+        assert detector.stream_fingerprint() == (
+            "20ce01da1e90c982ceb84ab9059004c84a24005e77296095fa35da36f2e38932"
+        )
+        assert OnlineAnomalyDetector(graph, FULL_RANGE).stream_fingerprint() == (
+            "ce735fcdc317aac8fc0da314db42df26634c098108cb545bed1f5b6c1c0113fb"
+        )
 
 
 class TestOnlineConfigValidation:

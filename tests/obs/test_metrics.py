@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.obs import SNAPSHOT_SCHEMA, MetricsRegistry
+from repro.obs import SNAPSHOT_SCHEMA, MetricsRegistry, atomic_write_text
 from repro.obs.metrics import Counter, Gauge, Histogram
 
 
@@ -117,6 +117,18 @@ class TestSnapshot:
         payload = json.loads(path.read_text())
         assert payload["schema"] == SNAPSHOT_SCHEMA
         assert payload["metrics"]["c"]["value"] == 9
+
+    def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = atomic_write_text(tmp_path / "out.json", "old\n")
+
+        def crash(source, target):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr("repro.obs.metrics.os.replace", crash)
+        with pytest.raises(OSError, match="disk gone"):
+            atomic_write_text(path, "new\n")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 class TestConcurrencyAndPickling:

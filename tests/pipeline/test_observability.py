@@ -134,9 +134,9 @@ class TestDetectMetrics:
         assert registry.value("online.samples_ingested") == pushed
         assert registry.value("online.windows_scored") == len(emitted)
         assert registry.value("online.pairs_evaluated") == len(emitted) * len(
-            online._pairs
+            online.valid_pairs()
         )
-        assert registry.value("online.valid_pairs") == len(online._pairs)
+        assert registry.value("online.valid_pairs") == len(online.valid_pairs())
         assert registry.histogram("online.window_seconds").count == len(emitted)
 
 
