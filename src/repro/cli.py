@@ -11,9 +11,9 @@ Three subcommands mirror the framework's lifecycle on CSV event logs
   sensors and clusters, optionally exporting the graph to JSON/GraphML.
 
 ``train`` (alias ``build``) accepts ``--cache-dir`` to reuse pair
-models from a content-addressed artifact cache across rebuilds; the
-companion ``cache`` subcommand inspects or garbage-collects such a
-cache.  ``train`` and ``detect`` accept ``--chunk-size`` to stream
+models from a content-addressed artifact cache across rebuilds (and to
+resume an interrupted build by rerunning it); the companion ``cache``
+subcommand inspects or garbage-collects such a cache.  ``train`` and ``detect`` accept ``--chunk-size`` to stream
 their CSVs through the chunked ingest path (bit-identical results,
 bounded peak memory), ``serve`` runs the sharded streaming detection
 service over one or more tenant streams (see ``docs/service.md``),
@@ -43,7 +43,7 @@ from .lang.events import MultivariateEventLog
 from .obs import MetricsRegistry, configure_logging
 from .pipeline.config import FrameworkConfig
 from .pipeline.framework import AnalyticsFramework
-from .pipeline.persistence import PairCheckpointStore, load_framework, save_framework
+from .pipeline.persistence import load_framework, save_framework
 from .report.tables import ascii_table
 from .scenarios import (
     DEFAULT_DETECTORS,
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument(
         "--prescreen",
-        choices=("off", "bleu", "mi"),
+        choices=("off", "bleu"),
         default="off",
         help="pair-affinity prescreen: prune unordered sensor pairs whose "
         "cheap affinity falls below the calibrated floor before any "
@@ -171,23 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
         "meaningful with --train-engine batched)",
     )
     train.add_argument(
-        "--checkpoint",
-        type=Path,
-        default=None,
-        help="pair-level checkpoint journal (default: MODEL.pairs when --resume)",
-    )
-    train.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the checkpoint journal instead of retraining "
-        "finished pairs (a stale journal is cleared without this flag)",
-    )
-    train.add_argument(
         "--cache-dir",
         type=Path,
         default=None,
         help="content-addressed artifact cache: rebuilds with unchanged "
-        "inputs restore pairs instead of retraining them",
+        "inputs restore pairs instead of retraining them, and rerunning "
+        "an interrupted build resumes it",
     )
     train.add_argument(
         "--no-cache",
@@ -198,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--report-json",
         type=Path,
         default=None,
-        help="write the build report (trained/cached/resumed/skipped pairs) "
+        help="write the build report (trained/cached/skipped/pruned pairs) "
         "as JSON to this path",
     )
     _add_observability_arguments(train)
@@ -498,30 +487,8 @@ def _command_train(args: argparse.Namespace) -> int:
         )
     except ValueError as error:
         raise SystemExit(str(error)) from error
-    checkpoint = None
-    checkpoint_path = args.checkpoint
-    if checkpoint_path is None and args.resume:
-        checkpoint_path = args.model.with_suffix(args.model.suffix + ".pairs")
-    if checkpoint_path is not None:
-        checkpoint = PairCheckpointStore(checkpoint_path)
-        try:
-            if not args.resume and checkpoint.exists():
-                checkpoint.clear()
-        except ValueError as error:
-            raise SystemExit(str(error)) from error
-
     cache_dir = False if args.no_cache else args.cache_dir
-    framework = AnalyticsFramework(config)
-    try:
-        fitted = framework.fit(
-            training, development, checkpoint=checkpoint, cache_dir=cache_dir
-        )
-    except ValueError as error:
-        # A foreign file at --checkpoint (e.g. a CSV) is a usage error,
-        # not a crash; other ValueErrors keep their tracebacks.
-        if "not a pair checkpoint journal" in str(error):
-            raise SystemExit(str(error)) from error
-        raise
+    fitted = AnalyticsFramework(config).fit(training, development, cache_dir=cache_dir)
     path = save_framework(fitted, args.model)
     graph = fitted.graph
     print(

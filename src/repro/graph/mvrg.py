@@ -17,7 +17,6 @@ import numpy as np
 
 from ..lang.corpus import LanguageConfig, MultiLanguageCorpus
 from ..lang.events import MultivariateEventLog
-from ..pipeline.types import PairStore
 from ..translation.base import TranslationModel
 from ..translation.factory import translator_factory
 from ..translation.seq2seq import NMTConfig
@@ -46,7 +45,7 @@ class PairwiseRelationship:
         measured in the worker that trained the pair and merged into
         the build's metrics registry (``pair_train.train_seconds`` /
         ``pair_train.eval_seconds``).  Zero on relationships restored
-        from pre-observability checkpoints.
+        from artifacts written before the split existed.
     """
 
     source: str
@@ -87,7 +86,7 @@ class MultivariateRelationshipGraph:
     ) -> None:
         self.corpus = corpus
         self.relationships = relationships
-        #: Populated by :meth:`build`: completed/resumed/skipped pairs,
+        #: Populated by :meth:`build`: completed/cached/skipped pairs,
         #: worker configuration and wall-clock time of the build.
         self.build_report = None
         #: Populated by :meth:`build` when the affinity prescreen ran:
@@ -111,7 +110,6 @@ class MultivariateRelationshipGraph:
         backend: str = "auto",
         train_engine: str = "looped",
         cohort_size: int | None = None,
-        checkpoint: PairStore | str | None = None,
         retries: int = 1,
         store: "ArtifactStore | str | None" = None,
         representation: str = "codes",
@@ -152,11 +150,6 @@ class MultivariateRelationshipGraph:
             inside one tensor program (see
             :class:`~repro.translation.BatchedPairTrainer` for the
             equivalence contract), overriding ``backend``.
-        checkpoint:
-            Optional pair-level checkpoint journal (path or
-            :class:`~repro.pipeline.persistence.PairCheckpointStore`);
-            completed pairs are restored instead of retrained and new
-            completions are recorded as they finish.
         retries:
             Per-pair retry budget; a pair failing every attempt is
             recorded as a skipped edge in ``build_report`` instead of
@@ -166,7 +159,9 @@ class MultivariateRelationshipGraph:
             :class:`~repro.pipeline.artifacts.ArtifactStore`).  Pairs
             whose input fingerprint is already stored are restored
             instead of retrained (``build_report.cached``); a rebuild
-            with unchanged logs and config trains zero pairs.
+            with unchanged logs and config trains zero pairs.  Each
+            trained pair is saved as it finishes, so rerunning a
+            killed build with the same store resumes it.
         representation:
             Sentence representation of the fitted languages: ``"codes"``
             (default, packed integer word keys over the interned
@@ -182,9 +177,9 @@ class MultivariateRelationshipGraph:
             Pair-affinity prescreen (see :mod:`repro.graph.prescreen`
             and ``docs/prescreen.md``): ``"off"`` (default) trains the
             full requested grid, bit-identically to builds before the
-            prescreen existed; ``"bleu"`` or ``"mi"`` prune unordered
-            pairs whose cheap affinity falls below the method's
-            calibrated floor before any model trains; a
+            prescreen existed; ``"bleu"`` prunes unordered pairs whose
+            cheap affinity falls below the calibrated floor before any
+            model trains; a
             :class:`~repro.graph.prescreen.PrescreenConfig` sets the
             floor/ordering explicitly.  Pruned pairs are recorded in
             ``build_report.pruned`` and the full
@@ -192,7 +187,6 @@ class MultivariateRelationshipGraph:
             returned graph's ``prescreen`` attribute.
         """
         from ..pipeline.artifacts import ArtifactStore
-        from ..pipeline.persistence import PairCheckpointStore
         from ..pipeline.stages import (
             CorpusStage,
             EncryptStage,
@@ -229,8 +223,6 @@ class MultivariateRelationshipGraph:
                         f"(got engine={engine!r})"
                     )
                 backend = "batched"
-        if checkpoint is not None and not isinstance(checkpoint, PairStore):
-            checkpoint = PairCheckpointStore(checkpoint)
         if store is not None and not isinstance(store, ArtifactStore):
             store = ArtifactStore(store)
 
@@ -248,7 +240,6 @@ class MultivariateRelationshipGraph:
                 "cohort_size": cohort_size,
                 "retries": retries,
                 "progress": progress,
-                "checkpoint": checkpoint,
             },
         }
         pipeline = StageGraph(

@@ -5,38 +5,28 @@ relationship graph only ever *uses* pairs whose dev-BLEU clears a
 global-subgraph range.  This module scores every unordered pair with a
 cheap vectorised affinity — no model training — so pairs that no
 translation model could turn into a usable edge are pruned before the
-:class:`~repro.pipeline.executor.PairExecutor` ever sees them.  Two
-proxies are offered, both reported on a predicted dev-BLEU 0–100 scale
-so floors are directly comparable with the score ranges:
-
-- ``"bleu"`` — the leave-one-out mapping-predictability proxy of
-  :func:`~repro.translation.bleu.mapping_proxy_scores`, which predicts
-  each target word from exactly the translator's backoff context (the
-  aligned source word plus the previous target word).  The per-word
-  accuracy is raised to :data:`BLEU_GEOMETRY_EXPONENT` to land on the
-  BLEU scale.  This is the conservative default: it sees both the
-  cross-channel and the target's self-predictability, the two routes
-  by which a trained pair can reach a high dev-BLEU.
-- ``"mi"`` — normalised mutual information between the aligned word
-  streams, ``100 * I(X; Y) / max(H(X), H(Y))``, guarded by each
-  sensor's own self-predictability (a sensor whose next word is
-  predictable from its previous word scores high dev-BLEU as a target
-  regardless of the source, so such pairs are never pruned).  More
-  aggressive than ``"bleu"``: it cannot see joint source+history
-  interactions, so its floor is heuristic rather than calibrated.
+:class:`~repro.pipeline.executor.PairExecutor` ever sees them.  The
+one proxy, ``"bleu"``, is the leave-one-out mapping-predictability
+score of :func:`~repro.translation.bleu.mapping_proxy_scores`, which
+predicts each target word from exactly the translator's backoff
+context (the aligned source word plus the previous target word).  The
+per-word accuracy is raised to :data:`BLEU_GEOMETRY_EXPONENT` to land
+on a predicted dev-BLEU 0–100 scale, so floors are directly comparable
+with the score ranges.  It sees both the cross-channel and the
+target's self-predictability, the two routes by which a trained pair
+can reach a high dev-BLEU.
 
 Affinities are symmetric; a pair is pruned only when *both* directions
-are hopeless.  Degenerate evidence (no aligned sentences, a
-zero-entropy stream) is parked at :data:`DEGENERATE_AFFINITY` — the
-ceiling, not the floor — so the prescreen can never prune a pair it
-could not actually measure.
+are hopeless.  Degenerate evidence (no aligned sentences, zero-length
+sentences) is parked at :data:`DEGENERATE_AFFINITY` — the ceiling, not
+the floor — so the prescreen can never prune a pair it could not
+actually measure.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -61,10 +51,10 @@ __all__ = [
 
 #: Supported affinity proxies (plus ``"off"`` at the config/CLI layer,
 #: which bypasses this module entirely).
-PRESCREEN_METHODS = ("bleu", "mi")
+PRESCREEN_METHODS = ("bleu",)
 
 #: Affinity assigned when a pair cannot be measured (no aligned
-#: sentences or, for ``"mi"``, a zero-entropy word stream).  It is the
+#: sentences).  It is the
 #: *ceiling* of the affinity scale: unmeasurable pairs are always kept,
 #: because pruning must only ever rest on positive evidence of
 #: unrelatedness.  This is also self-consistent — a constant stream is
@@ -84,10 +74,8 @@ BLEU_GEOMETRY_EXPONENT = 2.5
 #: must provably fall below every admitted score, so the floor is that
 #: bound minus a 5-point safety margin for proxy error.  On plant
 #: corpora the proxy never under-predicted a trained pair's dev-BLEU by
-#: more than ~4 points at this floor.  The same floor applies to
-#: ``"mi"`` via its self-predictability guard, but its cross-channel
-#: term (NMI) is heuristic on this scale.
-DEFAULT_FLOORS = {"bleu": 55.0, "mi": 55.0}
+#: more than ~4 points at this floor.
+DEFAULT_FLOORS = {"bleu": 55.0}
 
 
 @dataclass(frozen=True)
@@ -98,11 +86,10 @@ class PrescreenConfig:
     ----------
     method:
         ``"bleu"`` (leave-one-out mapping predictability in the
-        translator's own context) or ``"mi"`` (normalised mutual
-        information with a self-predictability guard).
+        translator's own context), the only proxy.
     max_order:
-        Highest source n-gram length pooled into the ``"bleu"`` proxy's
-        leave-one-out counts (ignored by ``"mi"``).  The default 3
+        Highest source n-gram length pooled into the proxy's
+        leave-one-out counts.  The default 3
         mirrors the translator's backoff: high orders only contribute
         where their contexts repeat, which keeps pairs whose structure
         lives in longer-range context from being mis-scored by a
@@ -154,109 +141,9 @@ class PrescreenConfig:
 # ----------------------------------------------------------------------
 # Affinity kernel
 # ----------------------------------------------------------------------
-def _aligned_stream_counts(
-    sources: Sequence[Sentence], targets: Sequence[Sentence]
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | None":
-    """Joint counts of the position-aligned word streams.
-
-    Returns ``(joint_counts, source_marginal, target_marginal)`` or
-    ``None`` when there are no aligned positions.  Each aligned
-    sentence pair is trimmed to its common length, so ragged corpora
-    degrade gracefully instead of raising.
-    """
-    joint: Counter = Counter()
-    for source, target in zip(sources, targets):
-        length = min(len(source), len(target))
-        for i in range(length):
-            joint[(source[i], target[i])] += 1
-    if not joint:
-        return None
-    counts = np.fromiter(joint.values(), dtype=np.float64, count=len(joint))
-    source_index: dict = {}
-    target_index: dict = {}
-    rows = np.empty(len(joint), dtype=np.int64)
-    cols = np.empty(len(joint), dtype=np.int64)
-    for position, (source_word, target_word) in enumerate(joint):
-        rows[position] = source_index.setdefault(source_word, len(source_index))
-        cols[position] = target_index.setdefault(target_word, len(target_index))
-    source_marginal = np.zeros(len(source_index))
-    target_marginal = np.zeros(len(target_index))
-    np.add.at(source_marginal, rows, counts)
-    np.add.at(target_marginal, cols, counts)
-    return counts, source_marginal, target_marginal
-
-
-def _entropy(counts: np.ndarray, total: float) -> float:
-    probabilities = counts[counts > 0] / total
-    return float(-(probabilities * np.log(probabilities)).sum())
-
-
-def _mi_affinity(sources: Sequence[Sentence], targets: Sequence[Sentence]) -> float:
-    """Normalised mutual information of the aligned streams, 0–100."""
-    stream = _aligned_stream_counts(sources, targets)
-    if stream is None:
-        return DEGENERATE_AFFINITY
-    joint, source_marginal, target_marginal = stream
-    total = float(joint.sum())
-    source_entropy = _entropy(source_marginal, total)
-    target_entropy = _entropy(target_marginal, total)
-    if source_entropy == 0.0 or target_entropy == 0.0:
-        return DEGENERATE_AFFINITY
-    mutual = source_entropy + target_entropy - _entropy(joint, total)
-    normalised = mutual / max(source_entropy, target_entropy)
-    return 100.0 * float(np.clip(normalised, 0.0, 1.0))
-
-
 def _bleu_scale(accuracy: float) -> float:
     """Per-word accuracy (0–100) onto the predicted dev-BLEU scale."""
     return 100.0 * (accuracy / 100.0) ** BLEU_GEOMETRY_EXPONENT
-
-
-def _self_affinity(sentences: Sequence[Sentence]) -> float:
-    """Predicted dev-BLEU of a sensor translated from *any* source.
-
-    The leave-one-out accuracy of predicting each word from the
-    previous word alone (history restarts per sentence) bounds what the
-    translator's ``P(t_k | t_{k-1})`` backoff achieves regardless of
-    the source — a sensor this predictable is a high-BLEU target for
-    every pair it appears in, so the ``"mi"`` proxy must never prune
-    such pairs on low cross-channel evidence.
-    """
-    joint: Counter = Counter()
-    for sentence in sentences:
-        previous: object = _SELF_BOS
-        for word in sentence:
-            joint[(previous, word)] += 1
-            previous = word
-    best: Counter = Counter()
-    totals: Counter = Counter()
-    for (previous, _), count in joint.items():
-        best[previous] = max(best[previous], count)
-        totals[previous] += count
-    total = sum(count - 1 for count in totals.values())
-    if total == 0:
-        return DEGENERATE_AFFINITY
-    matched = sum(count - 1 for count in best.values())
-    return _bleu_scale(100.0 * matched / total)
-
-
-#: Sentence-start sentinel for :func:`_self_affinity`; never a real word.
-_SELF_BOS = object()
-
-
-def _cross_affinity(
-    sources: Sequence[Sentence],
-    targets: Sequence[Sentence],
-    config: PrescreenConfig,
-) -> float:
-    """The symmetric cross-channel affinity (without the mi self guard)."""
-    if config.method == "mi":
-        return _mi_affinity(sources, targets)
-    try:
-        forward, reverse = mapping_proxy_scores(sources, targets, config.max_order)
-    except ValueError:
-        return DEGENERATE_AFFINITY
-    return _bleu_scale(max(forward, reverse))
 
 
 def pair_affinity(
@@ -269,20 +156,19 @@ def pair_affinity(
     ``sources`` and ``targets`` are the two sensors' aligned sentence
     corpora (any common representation: packed integer codes or
     strings — the affinity is invariant under relabelling tokens).
-    Symmetric by construction: the ``"bleu"`` proxy takes the better of
-    the two mapping directions, ``"mi"`` is symmetric already and takes
-    the better of its cross term and either sensor's self-affinity.
-    Degenerate inputs (no aligned sentences, zero-entropy streams,
+    Symmetric by construction: the proxy takes the better of the two
+    mapping directions.  Degenerate inputs (no aligned sentences,
     zero-length sentences) return :data:`DEGENERATE_AFFINITY` rather
     than raising.
     """
     config = config or PrescreenConfig()
     if min(len(sources), len(targets)) == 0:
         return DEGENERATE_AFFINITY
-    affinity = _cross_affinity(sources, targets, config)
-    if config.method == "mi":
-        affinity = max(affinity, _self_affinity(sources), _self_affinity(targets))
-    return affinity
+    try:
+        forward, reverse = mapping_proxy_scores(sources, targets, config.max_order)
+    except ValueError:
+        return DEGENERATE_AFFINITY
+    return _bleu_scale(max(forward, reverse))
 
 
 def affinity_matrix(
@@ -301,21 +187,10 @@ def affinity_matrix(
     sensors = list(corpus.sensors)
     matrix = np.zeros((len(sensors), len(sensors)))
     corpora = [corpus[name].sentences for name in sensors]
-    selves = (
-        [_self_affinity(c) if len(c) else DEGENERATE_AFFINITY for c in corpora]
-        if config.method == "mi"
-        else None
-    )
     for i, source in enumerate(corpora):
         matrix[i, i] = pair_affinity(source, source, config)
         for j in range(i + 1, len(corpora)):
-            if min(len(source), len(corpora[j])) == 0:
-                affinity = DEGENERATE_AFFINITY
-            else:
-                affinity = _cross_affinity(source, corpora[j], config)
-                if selves is not None:
-                    affinity = max(affinity, selves[i], selves[j])
-            matrix[i, j] = matrix[j, i] = affinity
+            matrix[i, j] = matrix[j, i] = pair_affinity(source, corpora[j], config)
     return sensors, matrix
 
 

@@ -1,52 +1,33 @@
-"""End-to-end framework: configuration, stage-graph pipeline, persistence.
+"""End-to-end framework: configuration, stage-graph pipeline, persistence."""
 
-Re-exports resolve lazily (PEP 562) so that importing a neutral
-submodule such as :mod:`repro.pipeline.types` from the graph layer does
-not drag in the full framework — this is what breaks the historical
-``pipeline <-> graph`` import cycle for real instead of hiding it
-behind ``TYPE_CHECKING`` guards.
-"""
+from .artifacts import ArtifactKey, ArtifactStore
+from .config import FrameworkConfig
+from .executor import BuildReport, PairExecutor, PairTask, SkippedPair
+from .framework import AnalyticsFramework
+from .hdd import HDDCaseStudy, HDDSplit
+from .persistence import load_framework, save_framework
+from .plant import DayScore, PlantCaseStudy, window_start_sample
+from .reporting import generate_report, write_report
+from .stages import StageContext, StageGraph
 
-from typing import Any
-
-_EXPORTS = {
-    "AnalyticsFramework": ".framework",
-    "ArtifactKey": ".artifacts",
-    "ArtifactStore": ".artifacts",
-    "BuildReport": ".executor",
-    "DayScore": ".plant",
-    "FrameworkConfig": ".config",
-    "HDDCaseStudy": ".hdd",
-    "HDDSplit": ".hdd",
-    "PairCheckpointStore": ".persistence",
-    "PairExecutor": ".executor",
-    "PairStore": ".types",
-    "PairTask": ".executor",
-    "PickleJournal": ".artifacts",
-    "PlantCaseStudy": ".plant",
-    "SkippedPair": ".executor",
-    "StageContext": ".stages",
-    "StageGraph": ".stages",
-    "generate_report": ".reporting",
-    "load_framework": ".persistence",
-    "save_framework": ".persistence",
-    "window_start_sample": ".plant",
-    "write_report": ".reporting",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(module_name, __name__), name)
-    globals()[name] = value  # cache for subsequent lookups
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
+__all__ = [
+    "AnalyticsFramework",
+    "ArtifactKey",
+    "ArtifactStore",
+    "BuildReport",
+    "DayScore",
+    "FrameworkConfig",
+    "HDDCaseStudy",
+    "HDDSplit",
+    "PairExecutor",
+    "PairTask",
+    "PlantCaseStudy",
+    "SkippedPair",
+    "StageContext",
+    "StageGraph",
+    "generate_report",
+    "load_framework",
+    "save_framework",
+    "window_start_sample",
+    "write_report",
+]

@@ -9,11 +9,6 @@ rebuilds fall out structurally: rerunning a build with unchanged logs
 and config resolves every key to an existing artifact and trains
 nothing, while perturbing one sensor's events changes only the keys
 whose fingerprint covers that sensor.
-
-The module also hosts :class:`PickleJournal`, the append-only pickle
-stream underlying :class:`~repro.pipeline.persistence.PairCheckpointStore`
-— kept byte-compatible with the PR 1 journal format so existing
-checkpoint files remain readable.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ logger = get_logger(__name__)
 __all__ = [
     "ArtifactKey",
     "ArtifactStore",
-    "PickleJournal",
     "StoreStats",
     "combine_fingerprints",
     "fingerprint_bytes",
@@ -175,7 +169,8 @@ class ArtifactStore:
     key, so a hash collision with a foreign file or a record moved
     between kinds is detected on load.  Writes go through a temp file
     and ``os.replace`` so a crashed writer can never leave a truncated
-    artifact behind.
+    artifact behind (only a ``*.tmp`` file, which :meth:`gc` and
+    :meth:`purge` reclaim).
 
     When :attr:`metrics` is set (the pipeline points a store at its
     run's registry automatically), :meth:`get` counts ``store.hits``,
@@ -296,14 +291,27 @@ class ArtifactStore:
             kinds[key.kind] = (count + 1, size + self.path_for(key).stat().st_size)
         return StoreStats(kinds)
 
+    def _files(self) -> list[Path]:
+        """Every artifact file plus the temp files of interrupted saves.
+
+        A writer killed between :meth:`save`'s temp-file write and its
+        ``os.replace`` leaves a ``*.tmp`` file that :meth:`keys` never
+        lists; :meth:`gc` and :meth:`purge` reclaim those too.
+        """
+        paths = [self.path_for(key) for key in self.keys()]
+        objects = self.root / "objects"
+        if objects.exists():
+            paths.extend(sorted(objects.rglob("*.tmp")))
+        return paths
+
     def gc(self, max_age_seconds: float, now: float | None = None) -> int:
-        """Delete artifacts last touched more than ``max_age_seconds`` ago."""
+        """Delete artifacts and leftover temp files last touched more
+        than ``max_age_seconds`` ago; returns how many were removed."""
         if max_age_seconds < 0:
             raise ValueError("max_age_seconds must be non-negative")
         cutoff = (time.time() if now is None else now) - max_age_seconds
         removed = 0
-        for key in list(self.keys()):
-            path = self.path_for(key)
+        for path in self._files():
             try:
                 if path.stat().st_mtime < cutoff:
                     path.unlink()
@@ -313,75 +321,12 @@ class ArtifactStore:
         return removed
 
     def purge(self) -> int:
-        """Delete every artifact in the store."""
+        """Delete every artifact and leftover temp file in the store."""
         removed = 0
-        for key in list(self.keys()):
-            removed += self.delete(key)
+        for path in self._files():
+            try:
+                path.unlink()
+                removed += 1
+            except FileNotFoundError:  # pragma: no cover - concurrent purge
+                continue
         return removed
-
-
-# ----------------------------------------------------------------------
-# Append-only journal (PR 1 checkpoint substrate)
-# ----------------------------------------------------------------------
-class PickleJournal:
-    """Append-only pickle stream with a header tag.
-
-    One header record (``{"format": tag}``) followed by arbitrary
-    pickled records, flushed eagerly so a killed writer loses at most
-    the in-flight record; a truncated *trailing* record is discarded on
-    read, while a foreign header (e.g. a CSV passed by mistake) raises.
-    This is the exact on-disk format of the PR 1 pair checkpoint
-    journal, which is now a thin schema adapter over this class.
-    """
-
-    def __init__(self, path: str | Path, tag: str, description: str = "journal") -> None:
-        self.path = Path(path)
-        self.tag = tag
-        self.description = description
-
-    def exists(self) -> bool:
-        return self.path.exists()
-
-    def clear(self) -> None:
-        """Delete the journal; refuses to delete a non-journal file."""
-        if self.path.exists() and self.path.stat().st_size > 0:
-            with self.path.open("rb") as handle:
-                self._check_header(handle)
-        self.path.unlink(missing_ok=True)
-
-    def _check_header(self, handle) -> None:
-        try:
-            header = pickle.load(handle)
-        except (EOFError, pickle.UnpicklingError, AttributeError, ValueError, IndexError):
-            raise ValueError(f"{self.path} is not a {self.description}") from None
-        if not isinstance(header, dict) or header.get("format") != self.tag:
-            raise ValueError(f"{self.path} is not a {self.description}")
-
-    def records(self) -> Iterator[Any]:
-        """Yield intact records; stops at a truncated trailing record."""
-        if not self.path.exists() or self.path.stat().st_size == 0:
-            return
-        with self.path.open("rb") as handle:
-            self._check_header(handle)
-            while True:
-                try:
-                    yield pickle.load(handle)
-                except EOFError:
-                    return
-                except (pickle.UnpicklingError, AttributeError, ValueError):
-                    # Truncated trailing record from an interrupted
-                    # write; everything before it is intact.
-                    return
-
-    def append(self, record: Any) -> None:
-        """Append one record, writing the header first on a fresh file."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        new_file = not self.path.exists() or self.path.stat().st_size == 0
-        if not new_file:
-            with self.path.open("rb") as handle:
-                self._check_header(handle)
-        with self.path.open("ab") as handle:
-            if new_file:
-                pickle.dump({"format": self.tag}, handle)
-            pickle.dump(record, handle)
-            handle.flush()

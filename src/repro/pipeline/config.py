@@ -42,10 +42,10 @@ class FrameworkConfig:
     equivalence contract).  ``cache_dir`` names a
     content-addressed artifact store (see
     :class:`~repro.pipeline.artifacts.ArtifactStore`): fits through a
-    cache restore unchanged pairs instead of retraining them.
-    ``prescreen`` enables the pair-affinity prescreen (``"bleu"`` or
-    ``"mi"``; see :mod:`repro.graph.prescreen` and
-    ``docs/prescreen.md``), pruning hopeless pairs before any model
+    cache restore unchanged pairs instead of retraining them, including
+    the pairs an interrupted fit saved before it stopped.
+    ``prescreen`` enables the pair-affinity prescreen (``"bleu"``; see
+    :mod:`repro.graph.prescreen` and ``docs/prescreen.md``), pruning hopeless pairs before any model
     trains; the default ``"off"`` is bit-identical to builds without
     the prescreen.  ``prescreen_floor`` overrides the method's
     calibrated affinity floor.

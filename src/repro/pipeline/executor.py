@@ -1,13 +1,14 @@
-"""Parallel, checkpointed execution of Algorithm 1's pair-training loop.
+"""Parallel execution of Algorithm 1's pair-training loop.
 
 Algorithm 1 trains ``N(N-1)`` independent directional translation
 models — the paper's acknowledged bottleneck (Figure 4a: ~2.5 minutes
 per NMT pair).  :class:`PairExecutor` fans the ordered-pair list out
 over a ``concurrent.futures`` pool, streams progress callbacks back in
 completion order, retries a failed pair once before recording it as a
-skipped edge, and appends every finished pair to an optional
-:class:`~repro.pipeline.persistence.PairCheckpointStore` so an
-interrupted build resumes without retraining.
+skipped edge, and hands every finished pair to an optional completion
+callback as it finishes — the pair-train stage saves it to the
+artifact store there, so an interrupted build resumes without
+retraining.
 
 Determinism: every pair model is trained independently from a fresh
 factory instance (seeded by its own configuration), so scheduling
@@ -27,7 +28,6 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ..obs import MetricsRegistry, Stopwatch, get_logger
-from .types import PairStore
 
 logger = get_logger(__name__)
 
@@ -80,13 +80,14 @@ class BuildReport:
     """What happened during one Algorithm 1 build.
 
     ``completed`` lists pairs trained this run, ``cached`` pairs
-    restored from the content-addressed artifact store, ``resumed``
-    pairs restored from the checkpoint journal, ``skipped`` pairs that
-    failed after retry (with their error strings), ``pruned`` pairs the
-    affinity prescreen removed before any model was scheduled (see
-    :mod:`repro.graph.prescreen`).  Every requested pair lands in
-    exactly one of those buckets: for a full grid their sizes sum to
-    ``N(N-1)``.  The build aborts only on structural errors; per-pair
+    restored from the content-addressed artifact store (including
+    pairs a killed earlier build saved before it died), ``skipped``
+    pairs that failed after retry (with their error strings),
+    ``pruned`` pairs the affinity prescreen removed before any model
+    was scheduled (see :mod:`repro.graph.prescreen`).  Every requested
+    pair lands in exactly one of those buckets: for a full grid their
+    sizes sum to ``N(N-1)``.  The build aborts on structural errors and
+    on a failing completion callback (a store write); per-pair model
     failures degrade to skipped edges.
     """
 
@@ -94,7 +95,6 @@ class BuildReport:
     backend: str = "serial"
     completed: list[tuple[str, str]] = field(default_factory=list)
     cached: list[tuple[str, str]] = field(default_factory=list)
-    resumed: list[tuple[str, str]] = field(default_factory=list)
     skipped: list[SkippedPair] = field(default_factory=list)
     pruned: list[tuple[str, str]] = field(default_factory=list)
     wall_seconds: float = 0.0
@@ -113,7 +113,6 @@ class BuildReport:
         parts = [
             f"{len(self.completed)} pair(s) trained",
             f"{len(self.cached)} cached",
-            f"{len(self.resumed)} resumed",
             f"{len(self.skipped)} skipped",
             f"{len(self.pruned)} pruned",
             f"n_jobs={self.n_jobs}",
@@ -121,7 +120,7 @@ class BuildReport:
             f"{self.wall_seconds:.2f}s",
         ]
         if self.cohorts:
-            parts.insert(5, f"{self.cohorts} cohort(s)")
+            parts.insert(4, f"{self.cohorts} cohort(s)")
         line = ", ".join(parts)
         for failure in self.skipped:
             line += f"\n  skipped {failure.source}->{failure.target}: {failure.error}"
@@ -134,14 +133,12 @@ class BuildReport:
             "backend": self.backend,
             "trained": len(self.completed),
             "cached": len(self.cached),
-            "resumed": len(self.resumed),
             "skipped": len(self.skipped),
             "pruned": len(self.pruned),
             "cohorts": self.cohorts,
             "wall_seconds": self.wall_seconds,
             "trained_pairs": [list(pair) for pair in self.completed],
             "cached_pairs": [list(pair) for pair in self.cached],
-            "resumed_pairs": [list(pair) for pair in self.resumed],
             "pruned_pairs": [list(pair) for pair in self.pruned],
             "skipped_pairs": [
                 {"pair": [failure.source, failure.target], "error": failure.error}
@@ -221,14 +218,16 @@ class PairExecutor:
     progress:
         ``(source, target, score)`` callback streamed in completion
         order, always from the calling thread.
-    checkpoint:
-        Optional :class:`PairCheckpointStore`; previously completed
-        pairs are restored instead of retrained and new completions
-        are appended as they finish.
+    on_complete:
+        Optional callback taking each freshly trained
+        :class:`~repro.graph.PairwiseRelationship` as it finishes,
+        always from the calling thread (never from a worker).  It runs
+        outside the retry loop: an exception it raises aborts the
+        build instead of being retried or recorded as a skipped edge.
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`.  Each ``run``
-        records into a private run-local registry — trained/resumed/
-        skipped counts, retry attempts, and per-pair train/eval seconds
+        records into a private run-local registry — trained/skipped
+        counts, retry attempts, and per-pair train/eval seconds
         measured inside the workers — and merges it into ``metrics`` on
         completion, so concurrent runs never interleave partial counts.
     """
@@ -239,7 +238,7 @@ class PairExecutor:
         backend: str = "auto",
         retries: int = 1,
         progress: Callable[[str, str, float], None] | None = None,
-        checkpoint: PairStore | None = None,
+        on_complete: Callable[["PairwiseRelationship"], None] | None = None,
         metrics: MetricsRegistry | None = None,
         cohort_size: int | None = None,
     ) -> None:
@@ -257,7 +256,7 @@ class PairExecutor:
         self.backend = backend
         self.retries = retries
         self.progress = progress
-        self.checkpoint = checkpoint
+        self.on_complete = on_complete
         self.metrics = metrics
         self.cohort_size = cohort_size
 
@@ -297,53 +296,34 @@ class PairExecutor:
         # all-cached build, and the merge into self.metrics at the end
         # is one atomic step per run.
         local = MetricsRegistry()
-        for name in (
-            "pair_train.trained",
-            "pair_train.resumed",
-            "pair_train.retries",
-            "pair_train.skipped",
-        ):
+        for name in ("pair_train.trained", "pair_train.retries", "pair_train.skipped"):
             local.counter(name)
         train_hist = local.histogram("pair_train.train_seconds")
         eval_hist = local.histogram("pair_train.eval_seconds")
-
-        pending = list(tasks)
-        if self.checkpoint is not None:
-            restored = self.checkpoint.load()
-            remaining = []
-            for task in pending:
-                relationship = restored.get(task.pair)
-                if relationship is None:
-                    remaining.append(task)
-                else:
-                    results[task.pair] = relationship
-                    report.resumed.append(task.pair)
-                    local.counter("pair_train.resumed").inc()
-            pending = remaining
 
         def record(relationship: "PairwiseRelationship") -> None:
             pair = (relationship.source, relationship.target)
             results[pair] = relationship
             report.completed.append(pair)
             local.counter("pair_train.trained").inc()
-            # Worker-side timings; pre-observability checkpoints and
-            # custom factories may lack the split fields.
+            # Worker-side timings; custom factories may lack the split
+            # fields.
             train_seconds = getattr(relationship, "train_seconds", 0.0)
             eval_seconds = getattr(relationship, "eval_seconds", 0.0)
             if train_seconds or eval_seconds:
                 train_hist.observe(train_seconds)
                 eval_hist.observe(eval_seconds)
-            if self.checkpoint is not None:
-                self.checkpoint.append(relationship)
+            if self.on_complete is not None:
+                self.on_complete(relationship)
             if self.progress is not None:
                 self.progress(relationship.source, relationship.target, relationship.score)
 
         if backend == "serial":
-            self._run_serial(pending, spec, record, report, local)
+            self._run_serial(tasks, spec, record, report, local)
         elif backend == "batched":
-            self._run_batched(pending, spec, record, report, local)
+            self._run_batched(tasks, spec, record, report, local)
         else:
-            self._run_pool(pending, spec, record, report, backend, local)
+            self._run_pool(tasks, spec, record, report, backend, local)
         report.wall_seconds = time.perf_counter() - start
         local.histogram("pair_train.wall_seconds").observe(report.wall_seconds)
         if self.metrics is not None:
@@ -353,7 +333,6 @@ class PairExecutor:
             report.summary().splitlines()[0],
             extra={
                 "trained": len(report.completed),
-                "resumed": len(report.resumed),
                 "skipped": len(report.skipped),
                 "backend": backend,
                 "n_jobs": self.n_jobs,
@@ -374,13 +353,16 @@ class PairExecutor:
         for task in pending:
             for attempt in range(1, self.retries + 2):
                 try:
-                    record(train_pair(task, spec))
+                    relationship = train_pair(task, spec)
                 except Exception as error:  # noqa: BLE001 - degrade to a skipped edge
                     if attempt > self.retries:
                         self._record_skip(task, error, attempt, report, metrics)
                     else:
                         self._record_retry(task, error, attempt, metrics)
                 else:
+                    # Outside the try: a failing completion callback
+                    # aborts the build, never retries the pair.
+                    record(relationship)
                     break
 
     def _run_batched(
@@ -481,8 +463,9 @@ class PairExecutor:
                         else:
                             record(relationship)
             except BaseException:
-                # Interrupt/kill: drop queued work so completed pairs
-                # (already checkpointed) are preserved and exit fast.
+                # Interrupt, kill or a failing completion callback: drop
+                # queued work so the build exits fast; completed pairs
+                # were already handed to the callback.
                 for future in futures:
                     future.cancel()
                 raise

@@ -35,7 +35,6 @@ from ..obs import MetricsRegistry
 from .artifacts import ArtifactStore
 from .config import FrameworkConfig
 from .stages.detect import DetectStage
-from .types import PairStore
 
 __all__ = ["AnalyticsFramework"]
 
@@ -77,21 +76,19 @@ class AnalyticsFramework:
         progress: Callable[[str, str, float], None] | None = None,
         n_jobs: int | str | None = None,
         backend: str | None = None,
-        checkpoint: PairStore | str | None = None,
         cache_dir: "str | Path | ArtifactStore | bool | None" = None,
     ) -> "AnalyticsFramework":
         """Build the relationship graph from normal-operation logs.
 
         ``n_jobs``/``backend`` override the config's executor settings
-        for this fit; ``checkpoint`` enables the pair-level journal so
-        an interrupted fit resumes without retraining finished pairs.
-        ``cache_dir`` overrides the config's artifact cache: a path or
-        :class:`~repro.pipeline.artifacts.ArtifactStore` enables
-        content-addressed incremental rebuilds, ``False`` disables
-        caching even when the config names a cache directory.  The
-        resulting :attr:`build_report` records completed, cached,
-        resumed, skipped and (when ``config.prescreen`` is enabled)
-        pruned pairs.
+        for this fit.  ``cache_dir`` overrides the config's artifact
+        cache: a path or :class:`~repro.pipeline.artifacts.ArtifactStore`
+        enables content-addressed incremental rebuilds, ``False``
+        disables caching even when the config names a cache directory.
+        Pairs are saved to the cache as they finish, so rerunning an
+        interrupted fit with the same cache resumes it.  The resulting
+        :attr:`build_report` records completed, cached, skipped and
+        (when ``config.prescreen`` is enabled) pruned pairs.
         """
         self.graph = MultivariateRelationshipGraph.build(
             training_log,
@@ -104,7 +101,6 @@ class AnalyticsFramework:
             backend=self.config.executor_backend if backend is None else backend,
             train_engine=getattr(self.config, "train_engine", "looped"),
             cohort_size=getattr(self.config, "train_cohort_size", None),
-            checkpoint=checkpoint,
             store=self._resolve_store(cache_dir),
             representation=getattr(self.config, "representation", "codes"),
             metrics=self.metrics,

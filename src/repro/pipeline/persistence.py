@@ -1,14 +1,10 @@
-"""Saving/loading fitted frameworks and pair-level build checkpoints.
+"""Saving/loading fitted frameworks.
 
 Pickle is appropriate here: the object graph is plain Python plus numpy
 arrays, produced and consumed by the same library version.  A format
-tag guards against loading foreign pickles by accident.
-
-:class:`PairCheckpointStore` is the executor's crash journal: one
-pickled record per completed ``(source, target)`` pair, appended as
-pairs finish, so an interrupted Algorithm 1 build resumes without
-retraining finished pairs.  A truncated trailing record (the write the
-crash interrupted) is discarded on load.
+tag guards against loading foreign pickles by accident.  An interrupted
+build resumes from the artifact cache instead (see
+:class:`~repro.pipeline.stages.PairTrainStage`).
 """
 
 from __future__ import annotations
@@ -16,14 +12,11 @@ from __future__ import annotations
 import pickle
 from pathlib import Path
 
-from ..graph.mvrg import PairwiseRelationship
-from .artifacts import PickleJournal
 from .framework import AnalyticsFramework
 
-__all__ = ["save_framework", "load_framework", "PairCheckpointStore"]
+__all__ = ["save_framework", "load_framework"]
 
 _FORMAT_TAG = "repro-analytics-framework-v1"
-_CHECKPOINT_TAG = "repro-pair-checkpoint-v1"
 
 
 def save_framework(framework: AnalyticsFramework, path: str | Path) -> Path:
@@ -45,57 +38,3 @@ def load_framework(path: str | Path) -> AnalyticsFramework:
     if not isinstance(framework, AnalyticsFramework):
         raise ValueError(f"{path} does not contain an AnalyticsFramework")
     return framework
-
-
-class PairCheckpointStore:
-    """Append-only journal of completed Algorithm 1 pairs.
-
-    A thin schema adapter over the generic
-    :class:`~repro.pipeline.artifacts.PickleJournal`: a header record
-    followed by one ``{"pair": (source, target), "relationship":
-    PairwiseRelationship}`` record per finished pair (score, dev
-    sentence scores, runtime and the fitted model travel inside the
-    relationship).  The on-disk format is byte-identical to the PR 1
-    journal, so existing checkpoint files remain readable.  Appends
-    flush eagerly so a killed build loses at most the in-flight record.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self._journal = PickleJournal(
-            path, _CHECKPOINT_TAG, description="pair checkpoint journal"
-        )
-
-    @property
-    def path(self) -> Path:
-        return self._journal.path
-
-    def exists(self) -> bool:
-        return self._journal.exists()
-
-    def clear(self) -> None:
-        """Delete the journal (start the next build from scratch).
-
-        Refuses to delete a file that is not a pair journal, so a
-        mistyped ``--checkpoint`` path can never destroy user data.
-        """
-        self._journal.clear()
-
-    def __len__(self) -> int:
-        return len(self.load())
-
-    # ------------------------------------------------------------------
-    def load(self) -> dict[tuple[str, str], PairwiseRelationship]:
-        """All completed pairs recorded so far (empty if no journal)."""
-        return {
-            tuple(record["pair"]): record["relationship"]
-            for record in self._journal.records()
-        }
-
-    def append(self, relationship: PairwiseRelationship) -> None:
-        """Record one completed pair (called as each pair finishes)."""
-        self._journal.append(
-            {
-                "pair": (relationship.source, relationship.target),
-                "relationship": relationship,
-            }
-        )

@@ -40,12 +40,14 @@ class PairTrainStage(Stage):
     its model: the two sensors' training and development event data,
     the windowing config, the engine spec and the stage version.  Pairs
     whose key is already in the store are restored without training
-    (``build_report.cached``); the remainder go through the existing
-    :class:`~repro.pipeline.executor.PairExecutor` (parallelism, retry
-    and the PR 1 checkpoint journal all behave exactly as before) and
-    freshly trained pairs are written back to the store.  Perturbing
-    one sensor therefore retrains only the ``2(N-1)`` pairs whose
-    fingerprint covers it.
+    (``build_report.cached``); the remainder go through the
+    :class:`~repro.pipeline.executor.PairExecutor`, whose completion
+    callback saves each freshly trained pair to the store the moment
+    it finishes.  A killed build therefore keeps every finished pair,
+    and rerunning it with the same store is the resume.  Perturbing
+    one sensor retrains only the ``2(N-1)`` pairs whose fingerprint
+    covers it.  Pairs of a custom factory without a ``cache_token``
+    are never stored, so such builds do not resume.
     """
 
     name = "pair-train"
@@ -169,12 +171,15 @@ class PairTrainStage(Stage):
                 else:
                     pending.append(task)
 
+        def save(relationship: Any) -> None:
+            store.save(keys[(relationship.source, relationship.target)], relationship)
+
         executor = PairExecutor(
             n_jobs=options.get("n_jobs", 1),
             backend=options.get("backend", "auto"),
             retries=options.get("retries", 1),
             progress=progress,
-            checkpoint=options.get("checkpoint"),
+            on_complete=save if keys else None,
             metrics=context.metrics,
             cohort_size=options.get("cohort_size"),
         )
@@ -184,11 +189,6 @@ class PairTrainStage(Stage):
         if prescreen is not None:
             report.pruned = [tuple(pair) for pair in prescreen.pruned_pairs]
         context.metrics.counter("pair_train.cached").inc(len(report.cached))
-        if store is not None:
-            for pair in report.completed:
-                key = keys.get(pair)
-                if key is not None:
-                    store.save(key, results[pair])
 
         if tasks and not results and not cached:
             first = report.skipped[0]

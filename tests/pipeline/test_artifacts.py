@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro.lang import LanguageConfig, MultivariateEventLog
-from repro.pipeline import ArtifactKey, ArtifactStore, PickleJournal
+from repro.pipeline import ArtifactKey, ArtifactStore
 from repro.pipeline.artifacts import (
     combine_fingerprints,
     fingerprint_bytes,
@@ -167,52 +165,29 @@ class TestArtifactStore:
         with pytest.raises(ValueError, match="non-negative"):
             store.gc(max_age_seconds=-1)
 
+    def test_gc_and_purge_reclaim_interrupted_writes(self, tmp_path):
+        import os
+
+        store = ArtifactStore(tmp_path)
+        kept = store.save(self.key(token="kept"), 1)
+        # What a writer killed between mkstemp and os.replace leaves.
+        stale = kept.parent / "tmpstale.tmp"
+        fresh = store.path_for(self.key("encrypt", "z")).parent / "tmpfresh.tmp"
+        for path in (stale, fresh):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(b"partial pickle")
+        now = kept.stat().st_mtime
+        os.utime(stale, (now - 10_000, now - 10_000))
+        assert list(store.keys()) == [self.key(token="kept")]
+
+        assert store.gc(max_age_seconds=5_000, now=now) == 1
+        assert not stale.exists() and fresh.exists() and kept.exists()
+        assert store.purge() == 2
+        assert not fresh.exists() and not kept.exists()
+
     def test_purge(self, tmp_path):
         store = ArtifactStore(tmp_path)
         for token in "abc":
             store.save(self.key(token=token), token)
         assert store.purge() == 3
         assert store.stats().num_artifacts == 0
-
-
-class TestPickleJournal:
-    def test_roundtrip(self, tmp_path):
-        journal = PickleJournal(tmp_path / "j.log", "tag-v1")
-        assert not journal.exists()
-        journal.append({"n": 1})
-        journal.append({"n": 2})
-        assert journal.exists()
-        assert list(journal.records()) == [{"n": 1}, {"n": 2}]
-
-    def test_truncated_tail_discarded(self, tmp_path):
-        path = tmp_path / "j.log"
-        journal = PickleJournal(path, "tag-v1")
-        journal.append("first")
-        journal.append("second")
-        with path.open("ab") as handle:
-            handle.write(pickle.dumps("third")[:4])
-        assert list(journal.records()) == ["first", "second"]
-
-    def test_foreign_file_rejected(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("a,b\n1,2\n")
-        journal = PickleJournal(path, "tag-v1", description="pair checkpoint journal")
-        with pytest.raises(ValueError, match="not a pair checkpoint journal"):
-            list(journal.records())
-        with pytest.raises(ValueError, match="not a pair checkpoint journal"):
-            journal.clear()
-        assert path.exists()
-
-    def test_wrong_tag_rejected(self, tmp_path):
-        path = tmp_path / "j.log"
-        PickleJournal(path, "other-tag").append("x")
-        with pytest.raises(ValueError, match="not a journal"):
-            list(PickleJournal(path, "tag-v1").records())
-
-    def test_clear_removes_own_journal(self, tmp_path):
-        path = tmp_path / "j.log"
-        journal = PickleJournal(path, "tag-v1")
-        journal.append("x")
-        journal.clear()
-        assert not path.exists()
-        journal.clear()  # idempotent on a missing file

@@ -16,7 +16,7 @@ import pytest
 
 from repro.detection import AnomalyDetector
 from repro.graph import MultivariateRelationshipGraph, ScoreRange
-from repro.pipeline import PairCheckpointStore, PairExecutor
+from repro.pipeline import ArtifactStore, PairExecutor
 from repro.translation.ngram import NGramTranslator
 from repro.translation.seq2seq import NMTConfig
 
@@ -47,17 +47,24 @@ class CountingFactory:
         return NGramTranslator()
 
 
-class KillAfter:
-    """Factory simulating a killed build: interrupts after ``k`` pairs."""
+class CachedCountingFactory(CountingFactory):
+    """Counting factory that opts into artifact caching via cache_token."""
+
+    cache_token = "ngram-default"
+
+
+class KillAfter(CachedCountingFactory):
+    """Cached factory simulating a killed build: interrupts after ``k`` pairs."""
 
     def __init__(self, k: int) -> None:
+        super().__init__()
         self.k = k
-        self.calls = 0
 
     def __call__(self) -> NGramTranslator:
-        if self.calls >= self.k:
-            raise KeyboardInterrupt
-        self.calls += 1
+        with self._lock:
+            if self.calls >= self.k:
+                raise KeyboardInterrupt
+            self.calls += 1
         return NGramTranslator()
 
 
@@ -133,7 +140,7 @@ class TestSerialParallelEquivalence:
         assert report.ok
         assert report.n_jobs == 2 and report.backend == "thread"
         assert sorted(report.completed) == sorted(graph.relationships)
-        assert not report.resumed and not report.skipped
+        assert not report.cached and not report.skipped
         assert report.wall_seconds > 0
 
 
@@ -165,68 +172,97 @@ class TestExecutorConfiguration:
         assert PairExecutor(n_jobs=1).resolve_backend(("engine", "ngram", None)) == "serial"
 
 
-class TestCheckpointResume:
-    def test_interrupted_build_resumes_without_retraining(
-        self, executor_log, executor_language_config, tmp_path
+class TestKilledBuildResume:
+    """A killed cached build keeps every finished pair; a rerun resumes it."""
+
+    @pytest.mark.parametrize("k", [1, 5, 11])
+    def test_killed_build_resumes_from_the_store(
+        self, executor_log, executor_language_config, tmp_path, k
     ):
         log = executor_log.select(["sA", "sB", "sC", "sD"])  # 12 ordered pairs
-        store = PairCheckpointStore(tmp_path / "pairs.ckpt")
-        killed = KillAfter(k=5)
+        store = ArtifactStore(tmp_path / "cache")
         with pytest.raises(KeyboardInterrupt):
             build_graph(
                 log,
                 executor_language_config,
-                model_factory=killed,
+                model_factory=KillAfter(k),
                 n_jobs=1,
-                checkpoint=store,
+                store=store,
             )
-        finished = store.load()
-        assert len(finished) == 5
+        # Each pair was saved the moment it finished.
+        assert len(list(store.keys("pair"))) == k
 
-        counting = CountingFactory()
+        counting = CachedCountingFactory()
         resumed = build_graph(
             log,
             executor_language_config,
             model_factory=counting,
-            n_jobs=4,
-            backend="thread",
-            checkpoint=store,
+            n_jobs=1,
+            store=store,
         )
         # No completed pair is retrained.
-        assert counting.calls == 12 - 5
-        assert sorted(resumed.build_report.resumed) == sorted(finished)
-        assert len(resumed.build_report.completed) == 12 - 5
+        assert counting.calls == 12 - k
+        assert resumed.build_report.num_trained == 12 - k
+        assert len(resumed.build_report.cached) == k
 
         uninterrupted = build_graph(
             log, executor_language_config, model_factory=CountingFactory(), n_jobs=1
         )
         assert pickle.dumps(resumed.scores()) == pickle.dumps(uninterrupted.scores())
-        np.testing.assert_array_equal(
+        assert np.array_equal(
             detect_scores(resumed, log), detect_scores(uninterrupted, log)
         )
 
-    def test_completed_checkpoint_skips_all_training(
+    def test_interrupted_thread_build_resumes(
         self, executor_log, executor_language_config, tmp_path
     ):
-        log = executor_log.select(["sA", "sB", "sC"])
-        store = PairCheckpointStore(tmp_path / "pairs.ckpt")
-        first = build_graph(log, executor_language_config, n_jobs=1, checkpoint=store)
-        counting = CountingFactory()
-        second = build_graph(
+        log = executor_log.select(["sA", "sB", "sC", "sD"])
+        store = ArtifactStore(tmp_path / "cache")
+        with pytest.raises(KeyboardInterrupt):
+            build_graph(
+                log,
+                executor_language_config,
+                model_factory=KillAfter(5),
+                n_jobs=2,
+                backend="thread",
+                store=store,
+            )
+        stored = len(list(store.keys("pair")))
+        resumed = build_graph(
             log,
             executor_language_config,
-            model_factory=counting,
-            n_jobs=1,
-            checkpoint=store,
+            model_factory=CachedCountingFactory(),
+            n_jobs=2,
+            backend="thread",
+            store=store,
         )
-        assert counting.calls == 0
-        assert pickle.dumps(first.scores()) == pickle.dumps(second.scores())
+        report = resumed.build_report
+        assert report.num_trained + len(report.cached) == 12
+        assert len(report.cached) == stored
 
-    def test_checkpoint_path_accepted_directly(
-        self, executor_log, executor_language_config, tmp_path
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_store_write_error_aborts_the_build(
+        self, executor_log, executor_language_config, tmp_path, backend
     ):
-        log = executor_log.select(["sA", "sB"])
-        path = tmp_path / "nested" / "pairs.ckpt"
-        graph = build_graph(log, executor_language_config, n_jobs=1, checkpoint=path)
-        assert path.exists()
-        assert len(PairCheckpointStore(path).load()) == len(graph.relationships)
+        class FullDiskStore(ArtifactStore):
+            def save(self, key, payload):
+                if key.kind == "pair":
+                    raise OSError("no space left on device")
+                return super().save(key, payload)
+
+        log = executor_log.select(["sA", "sB", "sC", "sD"])
+        counting = CachedCountingFactory()
+        with pytest.raises(OSError, match="no space left"):
+            build_graph(
+                log,
+                executor_language_config,
+                model_factory=counting,
+                n_jobs=1 if backend == "serial" else 2,
+                backend=backend,
+                store=FullDiskStore(tmp_path / "cache"),
+            )
+        # Not retried, not degraded to skipped edges (twelve skips would
+        # end in "all pair models failed", not the store's OSError).
+        if backend == "serial":
+            assert counting.calls == 1
+        assert counting.calls < 12

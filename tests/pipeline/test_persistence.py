@@ -7,24 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.graph import PairwiseRelationship
-from repro.pipeline import (
-    AnalyticsFramework,
-    PairCheckpointStore,
-    load_framework,
-    save_framework,
-)
-
-
-def make_relationship(source: str, target: str, score: float) -> PairwiseRelationship:
-    return PairwiseRelationship(
-        source=source,
-        target=target,
-        model=None,
-        score=score,
-        dev_sentence_scores=np.asarray([score, score / 2]),
-        runtime_seconds=0.01,
-    )
+from repro.pipeline import AnalyticsFramework, load_framework, save_framework
 
 
 class TestPersistence:
@@ -64,90 +47,3 @@ class TestPersistence:
     def test_creates_parent_directories(self, tmp_path):
         path = save_framework(AnalyticsFramework(), tmp_path / "a" / "b" / "m.pkl")
         assert path.exists()
-
-
-class TestPairCheckpointStore:
-    def test_missing_file_loads_empty(self, tmp_path):
-        store = PairCheckpointStore(tmp_path / "none.ckpt")
-        assert not store.exists()
-        assert store.load() == {}
-        assert len(store) == 0
-
-    def test_append_then_load_roundtrip(self, tmp_path):
-        store = PairCheckpointStore(tmp_path / "pairs.ckpt")
-        store.append(make_relationship("a", "b", 83.0))
-        store.append(make_relationship("b", "a", 61.5))
-        rows = store.load()
-        assert set(rows) == {("a", "b"), ("b", "a")}
-        assert rows[("a", "b")].score == 83.0
-        np.testing.assert_array_equal(
-            rows[("b", "a")].dev_sentence_scores, np.asarray([61.5, 61.5 / 2])
-        )
-
-    def test_appends_survive_reopening(self, tmp_path):
-        path = tmp_path / "pairs.ckpt"
-        PairCheckpointStore(path).append(make_relationship("a", "b", 83.0))
-        PairCheckpointStore(path).append(make_relationship("a", "c", 42.0))
-        assert len(PairCheckpointStore(path)) == 2
-
-    def test_truncated_trailing_record_is_discarded(self, tmp_path):
-        path = tmp_path / "pairs.ckpt"
-        store = PairCheckpointStore(path)
-        store.append(make_relationship("a", "b", 83.0))
-        store.append(make_relationship("b", "a", 61.5))
-        data = path.read_bytes()
-        path.write_bytes(data[:-7])  # simulate a crash mid-write
-        rows = store.load()
-        assert ("a", "b") in rows  # intact prefix survives
-
-    def test_foreign_file_rejected(self, tmp_path):
-        path = tmp_path / "other.ckpt"
-        with path.open("wb") as handle:
-            pickle.dump({"something": "else"}, handle)
-        with pytest.raises(ValueError, match="not a pair checkpoint"):
-            PairCheckpointStore(path).load()
-
-    def test_non_pickle_file_rejected(self, tmp_path):
-        """A plain-text file (e.g. a CSV passed to --checkpoint by
-        mistake) must raise, not silently load as an empty journal."""
-        path = tmp_path / "train.csv"
-        path.write_text("sensor_a,sensor_b\nON,OFF\n")
-        with pytest.raises(ValueError, match="not a pair checkpoint"):
-            PairCheckpointStore(path).load()
-
-    def test_append_never_writes_into_a_foreign_file(self, tmp_path):
-        path = tmp_path / "train.csv"
-        original = "sensor_a,sensor_b\nON,OFF\n"
-        path.write_text(original)
-        store = PairCheckpointStore(path)
-        with pytest.raises(ValueError, match="not a pair checkpoint"):
-            store.append(make_relationship("a", "b", 83.0))
-        assert path.read_text() == original  # untouched
-
-    def test_clear_refuses_to_delete_a_foreign_file(self, tmp_path):
-        path = tmp_path / "train.csv"
-        path.write_text("sensor_a,sensor_b\nON,OFF\n")
-        with pytest.raises(ValueError, match="not a pair checkpoint"):
-            PairCheckpointStore(path).clear()
-        assert path.exists()
-
-    def test_empty_file_treated_as_fresh_journal(self, tmp_path):
-        path = tmp_path / "pairs.ckpt"
-        path.touch()
-        store = PairCheckpointStore(path)
-        assert store.load() == {}
-        store.append(make_relationship("a", "b", 83.0))
-        assert ("a", "b") in store.load()
-
-    def test_clear_removes_journal(self, tmp_path):
-        store = PairCheckpointStore(tmp_path / "pairs.ckpt")
-        store.append(make_relationship("a", "b", 83.0))
-        assert store.exists()
-        store.clear()
-        assert not store.exists()
-        store.clear()  # idempotent
-
-    def test_creates_parent_directories(self, tmp_path):
-        store = PairCheckpointStore(tmp_path / "deep" / "dir" / "pairs.ckpt")
-        store.append(make_relationship("a", "b", 83.0))
-        assert store.exists()

@@ -8,18 +8,18 @@ sensor's events retrains exactly the ``2(N-1)`` pairs that involve it.
 from __future__ import annotations
 
 import pickle
-import threading
 
 import numpy as np
 import pytest
 
 from repro.graph import MultivariateRelationshipGraph
 from repro.lang import MultivariateEventLog
-from repro.pipeline import ArtifactStore, PairCheckpointStore
-from repro.pipeline.artifacts import PickleJournal
+from repro.pipeline import ArtifactStore
+from repro.pipeline.artifacts import fingerprint_obj, fingerprint_sequence
 from repro.pipeline.stages import (
     CorpusStage,
     EncryptStage,
+    PairTrainStage,
     Stage,
     StageContext,
     StageGraph,
@@ -27,22 +27,7 @@ from repro.pipeline.stages import (
 )
 from repro.translation.ngram import NGramTranslator
 
-from .test_executor import build_graph
-
-
-class CachedCountingFactory:
-    """Counting factory that opts into artifact caching via cache_token."""
-
-    cache_token = "ngram-default"
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def __call__(self) -> NGramTranslator:
-        with self._lock:
-            self.calls += 1
-        return NGramTranslator()
+from .test_executor import CachedCountingFactory, build_graph
 
 
 def perturb_sensor(log: MultivariateEventLog, sensor: str) -> MultivariateEventLog:
@@ -211,50 +196,32 @@ class TestSpecFingerprint:
         assert spec_fingerprint(("factory", lambda: NGramTranslator())) is None
 
 
-class TestJournalAdapterCompatibility:
-    """PR 1 checkpoint journals stay readable through the new substrate."""
+class TestPairKey:
+    """Golden pair artifact key: a change here silently cold-starts every cache."""
 
-    def test_pr1_format_journal_round_trips(self, tmp_path):
-        from .test_persistence import make_relationship
+    PINNED = "07e9bfabab3ace4436851e05ae9f42dd75fa59c89c0dd0fbfab768a4b4647f26"
 
-        # Write a journal with the raw PR 1 on-disk layout: a header
-        # record followed by one record per completed pair.
-        path = tmp_path / "pairs.ckpt"
-        rel = make_relationship("sA", "sB", 77.0)
-        with path.open("wb") as handle:
-            pickle.dump({"format": "repro-pair-checkpoint-v1"}, handle)
-            pickle.dump({"pair": ("sA", "sB"), "relationship": rel}, handle)
-
-        store = PairCheckpointStore(path)
-        loaded = store.load()
-        assert list(loaded) == [("sA", "sB")]
-        assert loaded[("sA", "sB")].score == 77.0
-
-        # And the adapter writes the same layout back.
-        store.append(make_relationship("sB", "sA", 55.0))
-        records = list(
-            PickleJournal(path, "repro-pair-checkpoint-v1").records()
+    def test_pair_key_is_pinned(self, executor_log, executor_language_config):
+        train = executor_log.slice(0, 360)
+        dev = executor_log.slice(360, 480)
+        key = PairTrainStage().pair_key(
+            spec_fingerprint(("engine", "ngram", None)),
+            fingerprint_obj([executor_language_config, "codes"]),
+            fingerprint_sequence(train["sA"]),
+            fingerprint_sequence(train["sB"]),
+            fingerprint_sequence(dev["sA"]),
+            fingerprint_sequence(dev["sB"]),
         )
-        assert [tuple(r["pair"]) for r in records] == [("sA", "sB"), ("sB", "sA")]
+        assert str(key) == f"pair/{self.PINNED}"
 
-    def test_checkpoint_and_cache_compose(
+    def test_build_stores_the_pinned_key(
         self, executor_log, executor_language_config, tmp_path
     ):
-        """A stale journal never poisons the store and vice versa."""
-        log = executor_log.select(["sA", "sB", "sC"])
         store = ArtifactStore(tmp_path / "cache")
-        journal = PairCheckpointStore(tmp_path / "pairs.ckpt")
-        first = build_graph(
-            log, executor_language_config, store=store, checkpoint=journal
+        build_graph(
+            executor_log, executor_language_config, store=store, pairs=[("sA", "sB")]
         )
-        # Resumed pairs come from the journal, cached pairs from the
-        # store; a fully cached rebuild reads nothing from the journal.
-        graph = build_graph(
-            log, executor_language_config, store=store, checkpoint=journal
-        )
-        assert sorted(graph.build_report.cached) == sorted(first.relationships)
-        assert not graph.build_report.resumed
-        assert pickle.dumps(graph.scores()) == pickle.dumps(first.scores())
+        assert [key.digest for key in store.keys("pair")] == [self.PINNED]
 
 
 class TestStageGraphValidation:
