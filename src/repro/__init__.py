@@ -11,7 +11,8 @@ The public API mirrors the paper's pipeline:
   diagnosis and disk-failure evaluation;
 - :mod:`repro.pipeline` — the end-to-end :class:`AnalyticsFramework`;
 - :mod:`repro.datasets` — plant and Backblaze-style data generators;
-- :mod:`repro.baselines` — Random Forest, OC-SVM and K-Means;
+- :mod:`repro.baselines` — Random Forest and OC-SVM (Table II), plus
+  Markov and Hawkes event models;
 - :mod:`repro.nn` — the from-scratch autograd/LSTM substrate.
 """
 

@@ -1,4 +1,4 @@
-"""Baseline models (Section IV-B): Random Forest, OC-SVM, K-Means."""
+"""Baseline models (Section IV-B): Random Forest and OC-SVM, plus Markov and Hawkes event models."""
 
 from .forest import RandomForest, balance_classes
 from .hawkes import (
@@ -7,7 +7,6 @@ from .hawkes import (
     MultivariateHawkes,
     state_change_times,
 )
-from .kmeans import KMeans
 from .markov import MarkovAnomalyDetector, MarkovChainModel, MarkovDetectionResult
 from .metrics import ConfusionMatrix, confusion_matrix, f1_score, precision, recall
 from .ocsvm import OneClassSVM, project_capped_simplex, rbf_kernel
@@ -18,7 +17,6 @@ __all__ = [
     "DecisionTree",
     "HawkesAnomalyDetector",
     "HawkesDetectionResult",
-    "KMeans",
     "MarkovAnomalyDetector",
     "MarkovChainModel",
     "MarkovDetectionResult",

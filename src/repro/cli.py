@@ -13,13 +13,11 @@ Three subcommands mirror the framework's lifecycle on CSV event logs
 ``train`` (alias ``build``) accepts ``--cache-dir`` to reuse pair
 models from a content-addressed artifact cache across rebuilds (and to
 resume an interrupted build by rerunning it); the companion ``cache``
-subcommand inspects or garbage-collects such a cache.  ``train`` and ``detect`` accept ``--chunk-size`` to stream
-their CSVs through the chunked ingest path (bit-identical results,
-bounded peak memory), ``serve`` runs the sharded streaming detection
-service over one or more tenant streams (see ``docs/service.md``),
-``bench scale`` runs the size-tiered scaling ladder into
-``BENCH_scale.json`` and ``bench online`` sweeps the streaming
-service across shard counts into ``BENCH_online.json``.
+subcommand inspects or garbage-collects such a cache.  ``train`` and
+``detect`` accept ``--chunk-size`` to stream their CSVs through the
+chunked ingest path (bit-identical results, bounded peak memory), and
+``serve`` runs the sharded streaming detection service over one or
+more tenant streams (see ``docs/service.md``).
 
 Example::
 
@@ -335,65 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit JSON instead of text"
     )
     _add_observability_arguments(serve)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run scaling benchmarks",
-        description="Scaling benchmarks: 'scale' runs the size-tiered "
-        "ladder (generate, chunked + resident ingest, fit, detect per "
-        "tier) and logs repro-scale-v1 records with wall seconds, heap "
-        "peaks and per-stage throughput; 'online' sweeps the sharded "
-        "streaming service across shard counts and logs repro-online-v1 "
-        "records with events/second and p99 window latency.",
-    )
-    bench.add_argument(
-        "action", choices=("scale", "online"), help="benchmark family to run"
-    )
-    bench.add_argument(
-        "--shard-counts",
-        type=str,
-        default=None,
-        metavar="COUNTS",
-        help="bench online: comma-separated shard counts to sweep "
-        "(default 1,2,4)",
-    )
-    bench.add_argument(
-        "--tenants",
-        type=int,
-        default=4,
-        help="bench online: tenant streams replaying the scenario log "
-        "(default 4)",
-    )
-    bench.add_argument(
-        "--tiers",
-        type=str,
-        default=None,
-        metavar="NAMES",
-        help="comma-separated tier names, smallest first "
-        "(default: the full ladder; see docs/cli.md)",
-    )
-    bench.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="ROWS",
-        help="rows per chunk for the chunked-ingest phase (default 256)",
-    )
-    bench.add_argument(
-        "--seed", type=int, default=None, help="override each tier's generator seed"
-    )
-    bench.add_argument(
-        "--bench",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="append repro-scale-v1 records to this benchmark JSON "
-        "(one record per tier, keyed on tier/chunk_size/seed)",
-    )
-    bench.add_argument(
-        "--json", action="store_true", help="emit JSON instead of a table"
-    )
-    _add_observability_arguments(bench)
 
     simulate = sub.add_parser(
         "simulate", help="generate a synthetic dataset to files"
@@ -815,116 +754,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 1 if errors else 0
 
 
-def _command_bench_online(args: argparse.Namespace) -> int:
-    from .bench.online import (
-        DEFAULT_ONLINE_CHUNK,
-        DEFAULT_SHARD_COUNTS,
-        run_online_bench,
-    )
-
-    shard_counts: tuple[int, ...] = DEFAULT_SHARD_COUNTS
-    if args.shard_counts is not None:
-        try:
-            shard_counts = tuple(
-                int(value) for value in args.shard_counts.split(",") if value
-            )
-        except ValueError as error:
-            raise SystemExit(
-                f"invalid --shard-counts {args.shard_counts!r}; "
-                "expected comma-separated integers"
-            ) from error
-    if not shard_counts or any(count < 1 for count in shard_counts):
-        raise SystemExit(f"invalid --shard-counts {args.shard_counts!r}")
-    if args.tenants < 1:
-        raise SystemExit(f"invalid --tenants {args.tenants}; must be >= 1")
-    chunk_size = DEFAULT_ONLINE_CHUNK if args.chunk_size is None else args.chunk_size
-
-    metrics = MetricsRegistry()
-    records = run_online_bench(
-        shard_counts=shard_counts,
-        num_tenants=args.tenants,
-        seed=11 if args.seed is None else args.seed,
-        chunk_size=chunk_size,
-        bench_path=args.bench,
-        metrics=metrics,
-    )
-    if args.metrics_json is not None:
-        path = metrics.write_json(args.metrics_json)
-        print(f"metrics snapshot written to {path}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(records, indent=2))
-        return 0
-    rows = [
-        {
-            "shards": record["shards"],
-            "tenants": record["tenants"],
-            "events/s": f"{record['events_per_second']:.0f}",
-            "p50 ms": f"{record['p50_latency_seconds'] * 1e3:.1f}",
-            "p99 ms": f"{record['p99_latency_seconds'] * 1e3:.1f}",
-            "windows": record["windows"],
-            "parity": record["parity"],
-            "warm trained": record["warm_start"]["trained"],
-        }
-        for record in records
-    ]
-    print(ascii_table(rows, title=f"Online service bench (chunk_size={chunk_size})"))
-    if args.bench is not None:
-        print(f"benchmark records appended to {args.bench}")
-    return 0
-
-
-def _command_bench(args: argparse.Namespace) -> int:
-    _setup_observability(args)
-    if args.action == "online":
-        return _command_bench_online(args)
-    from .bench.scale import DEFAULT_SCALE_CHUNK, SCALE_TIERS, run_scale_ladder
-
-    chunk_size = DEFAULT_SCALE_CHUNK if args.chunk_size is None else args.chunk_size
-    if chunk_size < 1:
-        raise SystemExit(f"invalid --chunk-size {chunk_size}; must be >= 1")
-    tiers = None
-    if args.tiers is not None:
-        tiers = [name for name in args.tiers.split(",") if name]
-        unknown = [name for name in tiers if name not in SCALE_TIERS]
-        if unknown:
-            raise SystemExit(
-                f"unknown tier(s) {unknown}; choose from {sorted(SCALE_TIERS)}"
-            )
-    metrics = MetricsRegistry()
-    records = run_scale_ladder(
-        tiers=tiers,
-        chunk_size=chunk_size,
-        seed=args.seed,
-        bench_path=args.bench,
-        metrics=metrics,
-    )
-    if args.metrics_json is not None:
-        path = metrics.write_json(args.metrics_json)
-        print(f"metrics snapshot written to {path}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(records, indent=2))
-        return 0
-    rows = []
-    for record in records:
-        phases = record["phases"]
-        rows.append(
-            {
-                "tier": record["tier"],
-                "events": record["total_events"],
-                "ingest chunked s": f"{phases['ingest_chunked']['seconds']:.2f}",
-                "ingest peak MB": f"{phases['ingest_chunked']['peak_bytes'] / 1e6:.1f}",
-                "resident peak MB": f"{phases['ingest_resident']['peak_bytes'] / 1e6:.1f}",
-                "fit s": f"{phases['fit']['seconds']:.2f}",
-                "detect s": f"{phases['detect']['seconds']:.2f}",
-                "rss MB": f"{record['ru_maxrss_kb'] / 1024:.0f}",
-            }
-        )
-    print(ascii_table(rows, title=f"Scale ladder (chunk_size={chunk_size})"))
-    if args.bench is not None:
-        print(f"benchmark records appended to {args.bench}")
-    return 0
-
-
 def _command_simulate(args: argparse.Namespace) -> int:
     from .datasets import (
         BackblazeConfig,
@@ -989,7 +818,6 @@ def main(argv: list[str] | None = None) -> int:
         "cache": _command_cache,
         "scenarios": _command_scenarios,
         "serve": _command_serve,
-        "bench": _command_bench,
         "simulate": _command_simulate,
     }
     return handlers[args.command](args)

@@ -4,7 +4,6 @@ from .anomaly import AnomalyDetector, DetectionResult
 from .attribution import SensorBlame, attribute_anomaly
 from .diagnosis import ClusterDiagnosis, FaultDiagnosis, diagnose
 from .drift import DriftReport, PairDrift, assess_drift
-from .episodes import AlarmEpisode, extract_episodes
 from .evaluation import (
     DayLevelEvaluation,
     EventLevelEvaluation,
@@ -26,7 +25,6 @@ from .disk import (
 )
 
 __all__ = [
-    "AlarmEpisode",
     "AnomalyDetector",
     "ClusterDiagnosis",
     "DEFAULT_JUMP",
@@ -48,7 +46,6 @@ __all__ = [
     "evaluate_days",
     "evaluate_drives",
     "evaluate_events",
-    "extract_episodes",
     "intervals_from_scores",
     "merge_intervals",
     "sharp_increases",

@@ -173,9 +173,11 @@ class OnlineAnomalyDetector:
         at or after the next window's start that have not completed that
         window.  At end-of-stream these would otherwise sit in the
         buffers invisibly — report them, or discard them explicitly with
-        :meth:`flush`.
+        :meth:`flush`.  Samples in a gap between windows (a sentence
+        stride longer than the window span) belong to no window and
+        are never pending.
         """
-        return self._samples_seen - self._next_window_start()
+        return max(0, self._samples_seen - self._next_window_start())
 
     def _next_window_start(self) -> int:
         return self._windows_emitted * self.window_stride
@@ -367,8 +369,13 @@ class OnlineAnomalyDetector:
         self.metrics.gauge("online.pending_samples").set(self.pending_samples)
 
     def _trim_buffers(self) -> None:
-        """Drop samples no future window can reference (bounded memory)."""
-        keep_from = self._next_window_start()
+        """Drop samples no future window can reference (bounded memory).
+
+        Never trims past the samples that have arrived: when windows
+        leave gaps, the next window may start beyond ``samples_seen``,
+        and the buffers must stay aligned with the sample clock.
+        """
+        keep_from = min(self._next_window_start(), self._samples_seen)
         drop = keep_from - self._trimmed
         if drop <= 0:
             return

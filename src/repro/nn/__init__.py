@@ -19,7 +19,6 @@ from .layers import BatchedEmbedding, BatchedLinear, Dropout, Embedding, Linear
 from .lstm import LSTM, BatchedLSTM, BatchedLSTMCell, LSTMCell, LSTMState
 from .module import Module, Parameter
 from .optim import SGD, Adam, BatchedAdam, clip_grad_norm, clip_grad_norm_per_pair
-from .schedulers import ExponentialDecay, ReduceOnPlateau, StepDecay
 from .serialization import load_module, save_module
 from .tensor import Tensor, is_grad_enabled, no_grad
 
@@ -35,7 +34,6 @@ __all__ = [
     "BatchedLuongAttention",
     "Dropout",
     "Embedding",
-    "ExponentialDecay",
     "GRU",
     "GRUCell",
     "LSTM",
@@ -45,9 +43,7 @@ __all__ = [
     "LuongAttention",
     "Module",
     "Parameter",
-    "ReduceOnPlateau",
     "SGD",
-    "StepDecay",
     "Tensor",
     "clip_grad_norm",
     "clip_grad_norm_per_pair",

@@ -150,14 +150,6 @@ class BatchedLuongAttention(Module):
         combine_layer = BatchedLinear.stack([a.combine_layer for a in attentions])
         return cls(hidden, score, score_layer, concat_layer, score_vector, combine_layer)
 
-    def _sublayers(self) -> "list[BatchedLinear]":
-        layers = [self.combine_layer]
-        if self.score == "general":
-            layers.append(self.score_layer)
-        elif self.score == "concat":
-            layers.extend([self.concat_layer, self.score_vector])
-        return layers
-
     def _scores(self, decoder_state: Tensor, encoder_outputs: Tensor) -> Tensor:
         num_pairs, batch, src_len = encoder_outputs.shape[:3]
         if self.score == "dot":
@@ -199,10 +191,6 @@ class BatchedLuongAttention(Module):
         combined = Tensor.concat([context, decoder_state], axis=2)
         attentional = self.combine_layer(combined).tanh()
         return attentional, weights
-
-    def select_pairs(self, keep: np.ndarray) -> None:
-        for layer in self._sublayers():
-            layer.select_pairs(keep)
 
     def unpack_into(self, attentions: "list[LuongAttention]") -> None:
         self.combine_layer.unpack_into([a.combine_layer for a in attentions])

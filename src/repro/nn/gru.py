@@ -220,13 +220,6 @@ class BatchedGRUCell(Module):
     def zero_state(self, batch_size: int) -> Tensor:
         return Tensor(np.zeros((self.num_pairs, batch_size, self.hidden_size)))
 
-    def select_pairs(self, keep: np.ndarray) -> None:
-        for name in self._WEIGHTS + self._BIASES:
-            param = getattr(self, name)
-            param.data = param.data[keep]
-            param.zero_grad()
-        self.num_pairs = self.gate_weight_x.data.shape[0]
-
     def unpack_into(self, cells: "list[GRUCell]") -> None:
         if len(cells) != self.num_pairs:
             raise ValueError(f"expected {self.num_pairs} cells, got {len(cells)}")
@@ -314,11 +307,6 @@ class BatchedGRU(Module):
                     layer_input, self.dropout_rate, self.training, self.rngs
                 )
         return layer_input, (h_states, list(h_states))
-
-    def select_pairs(self, keep: np.ndarray) -> None:
-        for cell in self.cells:
-            cell.select_pairs(keep)
-        self.rngs = [self.rngs[int(index)] for index in keep]
 
     def unpack_into(self, grus: "list[GRU]") -> None:
         for layer, cell in enumerate(self.cells):

@@ -148,15 +148,6 @@ class BatchedLinear(Module):
             out = out + bias
         return out
 
-    def select_pairs(self, keep: np.ndarray) -> None:
-        """Drop finished pairs' slices (early-stop cohort compaction)."""
-        self.weight.data = self.weight.data[keep]
-        self.weight.zero_grad()
-        if self.bias is not None:
-            self.bias.data = self.bias.data[keep]
-            self.bias.zero_grad()
-        self.num_pairs = self.weight.data.shape[0]
-
     def unpack_into(self, linears: "list[Linear]") -> None:
         """Write trained slab slices back into per-pair looped layers."""
         if len(linears) != self.num_pairs:
@@ -207,12 +198,6 @@ class BatchedEmbedding(Module):
                 f"[{token_ids.min()}, {token_ids.max()}]"
             )
         return self.weight.take_rows_batched(token_ids)
-
-    def select_pairs(self, keep: np.ndarray) -> None:
-        self.weight.data = self.weight.data[keep]
-        self.weight.zero_grad()
-        self.vocab_sizes = [self.vocab_sizes[int(index)] for index in keep]
-        self.num_pairs = self.weight.data.shape[0]
 
     def unpack_into(self, embeddings: "list[Embedding]") -> None:
         if len(embeddings) != self.num_pairs:

@@ -211,12 +211,6 @@ class BatchedLSTMCell(Module):
         zeros = np.zeros((self.num_pairs, batch_size, self.hidden_size))
         return Tensor(zeros), Tensor(zeros.copy())
 
-    def select_pairs(self, keep: np.ndarray) -> None:
-        for param in (self.weight_x, self.weight_h, self.bias):
-            param.data = param.data[keep]
-            param.zero_grad()
-        self.num_pairs = self.weight_x.data.shape[0]
-
     def unpack_into(self, cells: "list[LSTMCell]") -> None:
         if len(cells) != self.num_pairs:
             raise ValueError(f"expected {self.num_pairs} cells, got {len(cells)}")
@@ -306,11 +300,6 @@ class BatchedLSTM(Module):
                     layer_input, self.dropout_rate, self.training, self.rngs
                 )
         return layer_input, (h_states, c_states)
-
-    def select_pairs(self, keep: np.ndarray) -> None:
-        for cell in self.cells:
-            cell.select_pairs(keep)
-        self.rngs = [self.rngs[int(index)] for index in keep]
 
     def unpack_into(self, lstms: "list[LSTM]") -> None:
         for layer, cell in enumerate(self.cells):

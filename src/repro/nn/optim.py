@@ -151,18 +151,5 @@ class BatchedAdam(Adam):
     Adam's update is elementwise, so running it on a stacked
     ``(pairs, ...)`` slab is bit-identical to running a separate
     :class:`Adam` per pair — provided every pair has taken the same
-    number of steps, which the lockstep cohort trainer guarantees.  The
-    only batched-specific behaviour is :meth:`select_pairs`, which
-    drops finished pairs' moment slices when the cohort compacts.
+    number of steps, which the lockstep cohort trainer guarantees.
     """
-
-    def select_pairs(self, keep: np.ndarray) -> None:
-        """Keep only the pair slices selected by ``keep``.
-
-        ``keep`` is an index or boolean array over the leading pair
-        axis.  The caller is responsible for slicing ``param.data`` of
-        every parameter with the same selector (the batched modules'
-        ``select_pairs`` methods do this).
-        """
-        self._first_moment = [m[keep] for m in self._first_moment]
-        self._second_moment = [v[keep] for v in self._second_moment]

@@ -19,6 +19,10 @@ __all__ = ["FrameworkConfig", "TRAIN_ENGINES"]
 #: :class:`~repro.translation.BatchedPairTrainer`).
 TRAIN_ENGINES = ("looped", "batched")
 
+#: Executor backends a config may name.  The executor's ``"batched"``
+#: backend is reached only through ``train_engine="batched"``.
+_EXECUTOR_BACKENDS = tuple(name for name in EXECUTOR_BACKENDS if name != "batched")
+
 
 @dataclass(frozen=True)
 class FrameworkConfig:
@@ -94,10 +98,11 @@ class FrameworkConfig:
             raise ValueError(
                 f"n_jobs must be a positive integer or 'auto', got {self.n_jobs!r}"
             )
-        if self.executor_backend not in EXECUTOR_BACKENDS:
+        if self.executor_backend not in _EXECUTOR_BACKENDS:
             raise ValueError(
                 f"unknown executor backend {self.executor_backend!r}; "
-                f"choose from {EXECUTOR_BACKENDS}"
+                f"choose from {_EXECUTOR_BACKENDS} (select the batched "
+                "engine with train_engine='batched')"
             )
         if self.train_engine not in TRAIN_ENGINES:
             raise ValueError(

@@ -387,8 +387,7 @@ class PairExecutor:
         )
 
         metrics.counter("train.cohorts")
-        metrics.counter("train.masked_steps")
-        trainer = BatchedPairTrainer(config=spec[2], metrics=metrics)
+        trainer = BatchedPairTrainer(config=spec[2])
         cohorts, leftovers = group_cohorts(
             pending, self.cohort_size or DEFAULT_COHORT_SIZE
         )
@@ -415,8 +414,7 @@ class PairExecutor:
                         model=result.model,
                         score=result.score,
                         dev_sentence_scores=result.dev_sentence_scores,
-                        runtime_seconds=result.record.train_seconds
-                        + result.record.eval_seconds,
+                        runtime_seconds=result.record.total_seconds,
                         train_seconds=result.record.train_seconds,
                         eval_seconds=result.record.eval_seconds,
                     )

@@ -99,8 +99,8 @@ class AnalyticsFramework:
             progress=progress,
             n_jobs=self.config.n_jobs if n_jobs is None else n_jobs,
             backend=self.config.executor_backend if backend is None else backend,
-            train_engine=getattr(self.config, "train_engine", "looped"),
-            cohort_size=getattr(self.config, "train_cohort_size", None),
+            train_engine=self.config.train_engine,
+            cohort_size=self.config.train_cohort_size,
             store=self._resolve_store(cache_dir),
             representation=getattr(self.config, "representation", "codes"),
             metrics=self.metrics,

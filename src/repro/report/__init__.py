@@ -2,7 +2,6 @@
 
 from .series import cdf_at, cdf_series, histogram_series
 from .tables import ascii_table, format_row
-from .timeline import render_bar, render_timeline
 
 __all__ = [
     "ascii_table",
@@ -10,6 +9,4 @@ __all__ = [
     "cdf_series",
     "format_row",
     "histogram_series",
-    "render_bar",
-    "render_timeline",
 ]

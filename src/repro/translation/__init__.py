@@ -17,16 +17,14 @@ from .bleu import (
     modified_precision,
     sentence_bleu,
 )
-from .decoding import BeamHypothesis, beam_search_translate
 from .diagnostics import PairDiagnostics, diagnose_pair
 from .factory import ENGINES, make_translator, translator_factory
 from .ngram import NGramTranslator
 from .seq2seq import NMTConfig, Seq2SeqTranslator
-from .trainer import PairTrainer, TrainingRecord, train_with_early_stopping
+from .trainer import TrainingRecord
 
 __all__ = [
     "BatchedPairTrainer",
-    "BeamHypothesis",
     "BleuBreakdown",
     "CohortResult",
     "DEFAULT_COHORT_SIZE",
@@ -34,11 +32,9 @@ __all__ = [
     "NGramTranslator",
     "NMTConfig",
     "PairDiagnostics",
-    "PairTrainer",
     "Seq2SeqTranslator",
     "TrainingRecord",
     "TranslationModel",
-    "beam_search_translate",
     "bleu_breakdown",
     "brevity_penalty",
     "cohort_signature",
@@ -49,6 +45,5 @@ __all__ = [
     "mapping_proxy_scores",
     "modified_precision",
     "sentence_bleu",
-    "train_with_early_stopping",
     "translator_factory",
 ]

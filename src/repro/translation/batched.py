@@ -29,20 +29,15 @@ per step, which amplifies chaotically over long trainings into real
 weight divergence.  See
 ``tests/translation/test_batched_equivalence.py``.
 
-Early stopping
---------------
-With ``eval_every`` set, the cohort is evaluated on each pair's dev
-sentences every chunk; pairs whose dev BLEU plateaus (``patience``
-evaluations without a ``min_improvement`` gain) are *compacted out* of
-the parameter slabs — they stop consuming gradient work while the
-cohort continues — and their best-scoring weights are restored, so the
-reported ``dev_bleu`` always describes the returned model.
+Every pair trains the full ``config.training_steps`` budget, as in the
+paper, so a cohort's slabs keep all of its pairs from first step to
+last.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -50,7 +45,7 @@ import numpy as np
 from .. import nn
 from ..nn import functional as F
 from ..lang.vocabulary import Vocabulary
-from ..obs import MetricsRegistry, Stopwatch, get_logger
+from ..obs import Stopwatch, get_logger
 from .bleu import corpus_bleu, sentence_bleu
 from .seq2seq import NMTConfig, Seq2SeqTranslator
 from .trainer import TrainingRecord
@@ -202,19 +197,6 @@ class CohortResult:
     dev_sentence_scores: np.ndarray
 
 
-@dataclass
-class _PairState:
-    """Per-pair early-stopping bookkeeping."""
-
-    best_bleu: float = -np.inf
-    stale: int = 0
-    best_state: dict | None = None
-    steps_taken: int = 0
-    stopped_early: bool = False
-    eval_history: list = field(default_factory=list)
-    train_seconds: float = 0.0
-
-
 # ----------------------------------------------------------------------
 # The tensor program
 # ----------------------------------------------------------------------
@@ -271,7 +253,7 @@ class _CohortProgram:
             [len(model.source_vocab) for model in models], dtype=np.int64
         )
         self.target_widths = np.asarray(target_sizes, dtype=np.int64)
-        self._refresh_width_groups()
+        self._group_widths()
 
         # Packed id tensors for the whole corpus of every pair.
         source_ids = []
@@ -297,12 +279,11 @@ class _CohortProgram:
         self.num_sentences = self.source_ids.shape[1]
 
         self.rngs = list(rngs)
-        self.active = list(range(len(models)))  # original pair positions
         self.optimizer = nn.BatchedAdam(self.parameters(), lr=config.learning_rate)
 
     # ------------------------------------------------------------------
-    def _refresh_width_groups(self) -> None:
-        """Recompute the target-width groups over the active pairs.
+    def _group_widths(self) -> None:
+        """Group the cohort's pairs by target vocabulary width.
 
         Each group is ``(positions, width)``: the cohort positions whose
         target vocabulary has ``width`` entries.  The loss reduces over
@@ -350,7 +331,7 @@ class _CohortProgram:
         params = [param for param in self.parameters() if param.grad is not None]
         if not params:
             return
-        num_pairs = self.num_active
+        num_pairs = len(self.models)
         padded = {id(param): (axis, widths) for param, axis, widths in self._padded_slabs()}
         total = np.zeros(num_pairs)
         for param in params:
@@ -394,18 +375,11 @@ class _CohortProgram:
             params.extend(module.parameters())
         return params
 
-    @property
-    def num_active(self) -> int:
-        return len(self.active)
-
-    def active_models(self) -> list[Seq2SeqTranslator]:
-        return [self.models[index] for index in self.active]
-
     # ------------------------------------------------------------------
     def train_steps(self, steps: int) -> None:
-        """Advance every active pair ``steps`` lockstep optimiser steps."""
-        num_pairs = self.num_active
-        if num_pairs == 0 or steps == 0:
+        """Advance every pair ``steps`` lockstep optimiser steps."""
+        num_pairs = len(self.models)
+        if steps == 0:
             return
         batch_size = min(self.config.batch_size, self.num_sentences)
         source_len = self.source_ids.shape[2]
@@ -413,7 +387,6 @@ class _CohortProgram:
         pair_rows = np.arange(num_pairs)[:, None]
         source_mask = np.ones((num_pairs, batch_size, source_len))
         target_mask = np.ones((num_pairs, batch_size, target_len))
-        active_models = self.active_models()
 
         for _ in range(steps):
             chosen = np.stack(
@@ -490,37 +463,22 @@ class _CohortProgram:
             total.backward()
             self._clip_gradients()
             self.optimizer.step()
-            for position, model in enumerate(active_models):
+            for position, model in enumerate(self.models):
                 model.loss_history.append(float(loss_values[position]))
 
     # ------------------------------------------------------------------
     def sync_models(self) -> None:
-        """Write current slab slices back into the active skeleton models."""
-        active = self.active_models()
-        self.encoder_embedding.unpack_into([m._encoder_embedding for m in active])
-        self.encoder.unpack_into([m._encoder for m in active])
-        self.decoder_embedding.unpack_into([m._decoder_embedding for m in active])
-        self.decoder.unpack_into([m._decoder for m in active])
-        self.attention.unpack_into([m._attention for m in active])
-        self.projection.unpack_into([m._projection for m in active])
-        for model in active:
+        """Write the trained slab slices back into the skeleton models."""
+        models = self.models
+        self.encoder_embedding.unpack_into([m._encoder_embedding for m in models])
+        self.encoder.unpack_into([m._encoder for m in models])
+        self.decoder_embedding.unpack_into([m._decoder_embedding for m in models])
+        self.decoder.unpack_into([m._decoder for m in models])
+        self.attention.unpack_into([m._attention for m in models])
+        self.projection.unpack_into([m._projection for m in models])
+        for model in models:
             model._set_training(False)
             model.fitted = True
-
-    def compact(self, keep_positions: Sequence[int]) -> None:
-        """Drop finished pairs from every slab, moment and RNG list."""
-        keep = np.asarray(list(keep_positions), dtype=np.int64)
-        for module in self._batched_modules():
-            module.select_pairs(keep)
-        self.optimizer.select_pairs(keep)
-        self.rngs = [self.rngs[int(index)] for index in keep]
-        self.source_ids = self.source_ids[keep]
-        self.decoder_inputs = self.decoder_inputs[keep]
-        self.decoder_targets = self.decoder_targets[keep]
-        self.source_widths = self.source_widths[keep]
-        self.target_widths = self.target_widths[keep]
-        self._refresh_width_groups()
-        self.active = [self.active[int(index)] for index in keep]
 
 
 # ----------------------------------------------------------------------
@@ -534,34 +492,15 @@ class BatchedPairTrainer:
     ----------
     config:
         Shared :class:`NMTConfig` (every pair trains with the same
-        hyper-parameters, as in the paper).
-    eval_every, patience, min_improvement:
-        When ``eval_every`` is set, pairs are dev-evaluated every that
-        many steps and early-stopped independently with the same
-        plateau rule as
-        :func:`~repro.translation.trainer.train_with_early_stopping`;
-        finished pairs are compacted out of the slabs.  ``None``
-        (default) trains the fixed ``config.training_steps`` budget —
-        the looped-engine-equivalent mode used by the pipeline.
-    metrics:
-        Optional registry receiving ``train.pairs_active`` (gauge) and
-        ``train.masked_steps`` (counter: pair-steps saved by early
-        stopping).
+        hyper-parameters and the fixed ``config.training_steps``
+        budget, as in the paper).
     """
 
     config: NMTConfig | None = None
-    eval_every: int | None = None
-    patience: int = 3
-    min_improvement: float = 0.5
-    metrics: MetricsRegistry | None = None
 
     def __post_init__(self) -> None:
         if self.config is None:
             self.config = NMTConfig()
-        if self.eval_every is not None and self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1 when given")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
 
     # ------------------------------------------------------------------
     def train_cohort(self, tasks: Sequence["PairTask"]) -> list[CohortResult]:
@@ -570,17 +509,13 @@ class BatchedPairTrainer:
         if not tasks:
             return []
         program = _CohortProgram(tasks, self.config)
-        states = [_PairState() for _ in tasks]
-        if self.metrics is not None:
-            self.metrics.gauge("train.pairs_active").set(program.num_active)
-
-        if self.eval_every is None:
-            self._run_fixed(program, states)
-        else:
-            self._run_early_stopping(program, states, tasks)
+        start = time.perf_counter()
+        program.train_steps(self.config.training_steps)
+        train_seconds = (time.perf_counter() - start) / len(tasks)
+        program.sync_models()
 
         results = []
-        for task, model, state in zip(tasks, program.models, states):
+        for task, model in zip(tasks, program.models):
             watch = Stopwatch()
             translations = model.translate(task.dev_source)
             score = corpus_bleu(translations, task.dev_target, smooth=True)
@@ -594,12 +529,10 @@ class BatchedPairTrainer:
             record = TrainingRecord(
                 source=task.source,
                 target=task.target,
-                train_seconds=state.train_seconds,
+                train_seconds=train_seconds,
                 eval_seconds=eval_seconds,
                 dev_bleu=score,
                 loss_history=list(model.loss_history),
-                eval_history=list(state.eval_history),
-                stopped_early=state.stopped_early,
             )
             results.append(
                 CohortResult(
@@ -617,73 +550,3 @@ class BatchedPairTrainer:
             extra={"pairs": len(tasks), "engine": "batched"},
         )
         return results
-
-    # ------------------------------------------------------------------
-    def _charge_segment(
-        self, program: _CohortProgram, states: list[_PairState], seconds: float, steps: int
-    ) -> None:
-        share = seconds / program.num_active if program.num_active else 0.0
-        for index in program.active:
-            states[index].train_seconds += share
-            states[index].steps_taken += steps
-
-    def _run_fixed(self, program: _CohortProgram, states: list[_PairState]) -> None:
-        start = time.perf_counter()
-        program.train_steps(self.config.training_steps)
-        self._charge_segment(
-            program, states, time.perf_counter() - start, self.config.training_steps
-        )
-        program.sync_models()
-        if self.metrics is not None:
-            self.metrics.gauge("train.pairs_active").set(0)
-
-    def _run_early_stopping(
-        self,
-        program: _CohortProgram,
-        states: list[_PairState],
-        tasks: list["PairTask"],
-    ) -> None:
-        budget = self.config.training_steps
-        steps_done = 0
-        while program.num_active:
-            chunk = min(self.eval_every, budget - steps_done)
-            start = time.perf_counter()
-            program.train_steps(chunk)
-            self._charge_segment(program, states, time.perf_counter() - start, chunk)
-            steps_done += chunk
-            program.sync_models()
-
-            keep_positions: list[int] = []
-            for position, index in enumerate(program.active):
-                model = program.models[index]
-                state = states[index]
-                task = tasks[index]
-                translations = model.translate(task.dev_source)
-                dev_bleu = corpus_bleu(translations, task.dev_target, smooth=True)
-                state.eval_history.append((steps_done, dev_bleu))
-                finished = False
-                if dev_bleu > state.best_bleu + self.min_improvement:
-                    state.best_bleu = dev_bleu
-                    state.stale = 0
-                    state.best_state = model.state_dict()
-                else:
-                    state.stale += 1
-                    if state.stale >= self.patience:
-                        finished = True
-                        state.stopped_early = steps_done < budget
-                if steps_done >= budget:
-                    finished = True
-                if finished:
-                    if state.best_state is not None:
-                        model.load_state_dict(state.best_state)
-                    if self.metrics is not None and state.stopped_early:
-                        self.metrics.counter("train.masked_steps").inc(
-                            budget - state.steps_taken
-                        )
-                else:
-                    keep_positions.append(position)
-
-            if len(keep_positions) < program.num_active:
-                program.compact(keep_positions)
-                if self.metrics is not None:
-                    self.metrics.gauge("train.pairs_active").set(program.num_active)

@@ -1,28 +1,20 @@
 """Training utilities for pairwise translation models.
 
-:class:`PairTrainer` wraps a translation engine with the conveniences a
-long-running Algorithm-1 build wants: development-set evaluation during
-training, early stopping on dev BLEU, and a structured training record
-for post-hoc analysis (the data behind Figure 4a's runtime CDF).
+:class:`TrainingRecord` is the structured record of one pair fit (the
+data behind Figure 4a's runtime CDF).  :func:`_continue_training`
+advances an already-fitted seq2seq model by more optimiser steps on
+the model's own Adam state, so training in chunks takes exactly the
+same optimisation path as one uninterrupted fit.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
 
 from ..lang.corpus import ParallelCorpus
-from ..obs import Stopwatch, get_logger
-from .base import TranslationModel
-from .bleu import corpus_bleu
-from .seq2seq import NMTConfig, Seq2SeqTranslator
+from .seq2seq import Seq2SeqTranslator
 
-__all__ = ["TrainingRecord", "PairTrainer", "train_with_early_stopping"]
-
-logger = get_logger(__name__)
+__all__ = ["TrainingRecord"]
 
 
 @dataclass
@@ -35,166 +27,10 @@ class TrainingRecord:
     eval_seconds: float
     dev_bleu: float
     loss_history: list[float] = field(default_factory=list)
-    eval_history: list[tuple[int, float]] = field(default_factory=list)
-    stopped_early: bool = False
 
     @property
     def total_seconds(self) -> float:
         return self.train_seconds + self.eval_seconds
-
-
-@dataclass
-class PairTrainer:
-    """Fit-and-score helper for one directed sensor pair."""
-
-    model_factory: Callable[[], TranslationModel]
-
-    def fit_pair(
-        self, train_corpus: ParallelCorpus, dev_corpus: ParallelCorpus
-    ) -> tuple[TranslationModel, TrainingRecord]:
-        """Train on ``train_corpus`` and score on ``dev_corpus``."""
-        model = self.model_factory()
-        watch = Stopwatch()
-        model.fit(train_corpus)
-        train_seconds = watch.split()
-
-        dev_bleu = model.score(dev_corpus)
-        eval_seconds = watch.split()
-
-        record = TrainingRecord(
-            source=train_corpus.source_sensor,
-            target=train_corpus.target_sensor,
-            train_seconds=train_seconds,
-            eval_seconds=eval_seconds,
-            dev_bleu=dev_bleu,
-            loss_history=list(getattr(model, "loss_history", [])),
-        )
-        logger.debug(
-            "pair %s->%s fitted: dev BLEU %.2f in %.2fs train + %.2fs eval",
-            record.source,
-            record.target,
-            dev_bleu,
-            train_seconds,
-            eval_seconds,
-            extra={
-                "source": record.source,
-                "target": record.target,
-                "dev_bleu": dev_bleu,
-                "train_seconds": train_seconds,
-                "eval_seconds": eval_seconds,
-            },
-        )
-        return model, record
-
-
-def train_with_early_stopping(
-    train_corpus: ParallelCorpus,
-    dev_corpus: ParallelCorpus,
-    config: NMTConfig,
-    eval_every: int = 50,
-    patience: int = 3,
-    min_improvement: float = 0.5,
-) -> tuple[Seq2SeqTranslator, TrainingRecord]:
-    """Fit a seq2seq model in chunks, stopping when dev BLEU plateaus.
-
-    The model is trained ``eval_every`` steps at a time (up to
-    ``config.training_steps`` total); after each chunk the dev BLEU is
-    measured, and training stops once ``patience`` consecutive
-    evaluations fail to improve by ``min_improvement`` BLEU points.
-
-    This is the paper's implicit recipe — they train a fixed 1000 steps
-    because all pair models share settings; early stopping recovers
-    most of that compute on easy pairs without changing the scores the
-    graph layer sees.
-    """
-    if eval_every < 1 or patience < 1:
-        raise ValueError("eval_every and patience must be >= 1")
-
-    total_budget = config.training_steps
-    model = Seq2SeqTranslator(
-        NMTConfig(
-            embedding_size=config.embedding_size,
-            hidden_size=config.hidden_size,
-            num_layers=config.num_layers,
-            dropout=config.dropout,
-            training_steps=min(eval_every, total_budget),
-            batch_size=config.batch_size,
-            learning_rate=config.learning_rate,
-            clip_norm=config.clip_norm,
-            seed=config.seed,
-            recurrent_unit=config.recurrent_unit,
-            attention_score=config.attention_score,
-        )
-    )
-
-    start = time.perf_counter()
-    eval_seconds = 0.0
-    loss_history: list[float] = []
-    eval_history: list[tuple[int, float]] = []
-    best_bleu = -np.inf
-    best_state: dict | None = None
-    stale = 0
-    steps_done = 0
-    stopped_early = False
-
-    # First chunk fits vocabularies and modules; later chunks continue.
-    model.fit(train_corpus)
-    steps_done += model.config.training_steps
-    loss_history.extend(model.loss_history)
-
-    while True:
-        eval_start = time.perf_counter()
-        dev_bleu = model.score(dev_corpus)
-        eval_seconds += time.perf_counter() - eval_start
-        eval_history.append((steps_done, dev_bleu))
-        logger.debug(
-            "pair %s->%s step %d: loss %.4f, dev BLEU %.2f",
-            train_corpus.source_sensor,
-            train_corpus.target_sensor,
-            steps_done,
-            loss_history[-1] if loss_history else float("nan"),
-            dev_bleu,
-            extra={
-                "source": train_corpus.source_sensor,
-                "target": train_corpus.target_sensor,
-                "step": steps_done,
-                "loss": loss_history[-1] if loss_history else None,
-                "dev_bleu": dev_bleu,
-            },
-        )
-        if dev_bleu > best_bleu + min_improvement:
-            best_bleu = dev_bleu
-            stale = 0
-            best_state = model.state_dict()
-        else:
-            stale += 1
-            if stale >= patience:
-                stopped_early = steps_done < total_budget
-                break
-        if steps_done >= total_budget:
-            break
-        chunk = min(eval_every, total_budget - steps_done)
-        _continue_training(model, train_corpus, chunk)
-        steps_done += chunk
-        loss_history.extend(model.loss_history[-chunk:])
-
-    # Restore the best-scoring weights so the reported dev_bleu always
-    # describes the returned model, even when later chunks degraded it.
-    if best_state is not None:
-        model.load_state_dict(best_state)
-
-    train_seconds = time.perf_counter() - start - eval_seconds
-    record = TrainingRecord(
-        source=train_corpus.source_sensor,
-        target=train_corpus.target_sensor,
-        train_seconds=train_seconds,
-        eval_seconds=eval_seconds,
-        dev_bleu=best_bleu if eval_history else model.score(dev_corpus),
-        loss_history=loss_history,
-        eval_history=eval_history,
-        stopped_early=stopped_early,
-    )
-    return model, record
 
 
 def _continue_training(

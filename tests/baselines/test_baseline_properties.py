@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import DecisionTree, KMeans, MarkovChainModel
+from repro.baselines import DecisionTree, MarkovChainModel
 from repro.lang import EventSequence
 
 
@@ -27,23 +27,6 @@ def test_property_tree_predictions_in_label_set(rows, cols, seed):
     proba = tree.predict_proba(features)
     np.testing.assert_allclose(proba.sum(axis=1), np.ones(rows))
     assert (proba >= 0).all()
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    rows=st.integers(6, 30),
-    clusters=st.integers(1, 4),
-    seed=st.integers(0, 10_000),
-)
-def test_property_kmeans_assignment_is_nearest_center(rows, clusters, seed):
-    rng = np.random.default_rng(seed)
-    clusters = min(clusters, rows)
-    features = rng.normal(size=(rows, 2))
-    model = KMeans(num_clusters=clusters, seed=seed).fit(features)
-    assignment = model.predict(features)
-    distances = model.transform(features)
-    np.testing.assert_array_equal(assignment, distances.argmin(axis=1))
-    assert set(assignment) <= set(range(clusters))
 
 
 @settings(max_examples=25, deadline=None)

@@ -298,3 +298,39 @@ class TestOnlineStreamingEquivalence:
         )
         assert pushed, "test period must emit at least one window"
         assert streamed == pushed
+
+
+class TestChunkedIngestMemory:
+    def test_chunked_ingest_peaks_below_resident(self, tmp_path):
+        # A small-tier plant log (12 sensors x 10 days x 96 samples):
+        # streaming it in 128-row chunks must build the same frame
+        # while holding less of the decoded CSV in memory at once.
+        import tracemalloc
+
+        from repro.datasets.plant import PlantConfig, generate_plant_dataset
+
+        config = PlantConfig(
+            num_sensors=12,
+            days=10,
+            samples_per_day=96,
+            anomaly_days=(10,),
+            precursor_days=(9,),
+            num_components=4,
+            seed=7,
+        )
+        csv_path = tmp_path / "events-small.csv"
+        generate_plant_dataset(config).log.to_csv(csv_path)
+
+        def ingest(chunk_size):
+            tracemalloc.start()
+            try:
+                log = MultivariateEventLog.from_csv(csv_path, chunk_size=chunk_size)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return log.frame.digest(), peak
+
+        resident_digest, resident_peak = ingest(None)
+        chunked_digest, chunked_peak = ingest(128)
+        assert chunked_digest == resident_digest
+        assert chunked_peak < resident_peak

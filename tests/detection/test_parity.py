@@ -133,28 +133,48 @@ class TestSentenceCacheValidation:
             detector.detect(other, sentence_cache=cache)
 
 
-@pytest.fixture(scope="module")
-def scenario_graph():
+#: Windows of 8 samples every 12: four samples between consecutive
+#: windows belong to no window at all.
+GAPPED_LANGUAGE = LanguageConfig(
+    word_size=4, word_stride=1, sentence_length=5, sentence_stride=12
+)
+
+
+def _scenario_graph(language: LanguageConfig | None = None):
     """Graph and test log of the tiny-tier cascade fault scenario."""
     from repro.pipeline.framework import AnalyticsFramework
     from repro.scenarios import generate_scenario, harness_framework_config
 
     data = generate_scenario("cascade", tier="tiny", seed=11)
     train, dev, test, _ = data.split()
-    framework = AnalyticsFramework(harness_framework_config()).fit(train, dev)
+    config = harness_framework_config()
+    if language is not None:
+        config = dataclasses.replace(config, language=language)
+    framework = AnalyticsFramework(config).fit(train, dev)
     return framework.graph, test
 
 
-@pytest.fixture(scope="module", params=["trained", "zero-pair"])
+@pytest.fixture(scope="module")
+def scenario_graph():
+    return _scenario_graph()
+
+
+@pytest.fixture(scope="module", params=["trained", "zero-pair", "gapped"])
 def scenario_streams(request, scenario_graph):
     """Batch detection and the per-sample ``push`` stream of one graph.
 
     The ``zero-pair`` variant carries a never-breakable 0.0 pair, which
-    must not dilute the online ``a_t`` relative to batch.
+    must not dilute the online ``a_t`` relative to batch.  The
+    ``gapped`` variant windows the log with a sentence stride longer
+    than the sentence span, so samples between windows are never scored.
     """
     graph, test = scenario_graph
     if request.param == "zero-pair":
         graph, _ = _zeroed_graph(graph)
+    elif request.param == "gapped":
+        graph, test = _scenario_graph(GAPPED_LANGUAGE)
+        detector = OnlineAnomalyDetector(graph, FULL_RANGE)
+        assert detector.window_stride > detector.window_span
     batch = AnomalyDetector(graph, FULL_RANGE).detect(test)
     per_sample = _stream(OnlineAnomalyDetector(graph, FULL_RANGE), test, test.num_samples)
     return graph, test, batch, per_sample
@@ -215,6 +235,37 @@ class TestChunkBoundaries:
             row = window.window_index
             assert np.array_equal(window.anomaly_score, batch.anomaly_scores[row])
             assert list(window.broken_pairs) == batch.broken_pairs(row)
+
+
+class TestSnapshotRoundTrip:
+    """A detector restored from a JSON snapshot taken after any sample
+    emits exactly the windows of the uninterrupted stream."""
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        phases=(Phase.explicit, Phase.reuse, Phase.generate),
+    )
+    @given(data=st.data())
+    def test_restored_stream_matches_uninterrupted(self, scenario_streams, data):
+        graph, test, _, per_sample = scenario_streams
+        cut = data.draw(st.integers(0, test.num_samples))
+        first = OnlineAnomalyDetector(graph, FULL_RANGE)
+        emitted = _stream(first, test, cut)
+        assert 0 <= first.pending_samples < first.window_span
+        state = json.loads(json.dumps(first.state_dict()))
+
+        resumed = OnlineAnomalyDetector(graph, FULL_RANGE)
+        resumed.load_state_dict(state)
+        assert resumed.pending_samples == first.pending_samples
+        for t in range(cut, test.num_samples):
+            sample = {name: test[name].events[t] for name in test.sensors}
+            emitted.extend(resumed.push(sample))
+        assert emitted == per_sample
+        residual = resumed.pending_samples
+        assert 0 <= residual < resumed.window_span
+        assert resumed.flush() == residual
+        assert resumed.pending_samples == 0
 
 
 class TestStreamFingerprint:

@@ -64,7 +64,6 @@ class TestBatchedBuild:
         assert report.cohorts >= 1
         assert len(report.completed) == 6
         assert metrics.value("train.cohorts") == report.cohorts
-        assert metrics.value("train.masked_steps") == 0
         assert "cohorts" in report.to_dict()
 
     def test_cohort_size_one_still_works(self, logs):
@@ -121,6 +120,16 @@ class TestFrameworkConfig:
             FrameworkConfig(
                 engine="seq2seq", train_engine="batched", train_cohort_size=0
             )
+
+    def test_batched_is_selected_by_train_engine_only(self):
+        # The executor's "batched" backend is reached only through
+        # train_engine; naming it as the executor backend is an error
+        # for every engine instead of a silent batched or serial build.
+        for engine in ("seq2seq", "ngram"):
+            with pytest.raises(ValueError, match="train_engine='batched'"):
+                FrameworkConfig(engine=engine, executor_backend="batched")
+        for backend in ("auto", "serial", "thread", "process"):
+            assert FrameworkConfig(executor_backend=backend).executor_backend == backend
 
     def test_framework_fit_uses_batched_engine(self, logs):
         train, dev = logs

@@ -164,6 +164,7 @@ class TestBackpressure:
             service.join()
             assert all(accepted)
             assert service.metrics.value("service.dropped") == 0
+            assert service.metrics.value("service.errors") == 0
 
     def test_reject_policy_drops_and_counts(self, service_setup):
         graph, test = service_setup

@@ -592,11 +592,9 @@ class TestServeCommand:
             )
 
 
-class TestBenchOnlineCommand:
-    def test_invalid_shard_counts_rejected(self):
-        with pytest.raises(SystemExit, match="shard-counts"):
-            main(["bench", "online", "--shard-counts", "two,four"])
-
-    def test_invalid_tenants_rejected(self):
-        with pytest.raises(SystemExit, match="tenants"):
-            main(["bench", "online", "--tenants", "0"])
+class TestRemovedCommands:
+    def test_bench_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "scale"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -27,7 +27,6 @@ SUBPACKAGES = [
     "repro.report",
     "repro.scenarios",
     "repro.service",
-    "repro.bench",
 ]
 
 

@@ -4,7 +4,7 @@ The batched engine's contract (see ``repro.translation.batched``) is
 that every pair in a cohort trains exactly as it would have on its own:
 same RNG stream, same arithmetic per pair slice.  These tests pin that
 down for both recurrent units, all three attention scores, mixed
-vocabulary widths, serialization, and early-stop cohort compaction.
+vocabulary widths and serialization.
 """
 
 from __future__ import annotations
@@ -196,37 +196,3 @@ class TestCohortGrouping:
     def test_rejects_bad_cohort_size(self):
         with pytest.raises(ValueError):
             group_cohorts([], cohort_size=0)
-
-
-class TestEarlyStopping:
-    def test_masked_pairs_stop_consuming_steps(self):
-        config = _config(training_steps=60)
-        tasks = _tasks(seed=37)
-        trainer = BatchedPairTrainer(
-            config=config, eval_every=20, patience=1, min_improvement=100.0
-        )
-        results = trainer.train_cohort(tasks)
-        for result in results:
-            # An unreachable improvement bar stops every pair after
-            # patience=1 evaluations: 2 chunks of 20 steps, not 60.
-            assert result.record.stopped_early
-            assert len(result.record.loss_history) == 40
-            assert len(result.record.eval_history) == 2
-            # Best weights were restored, so the reported score
-            # describes the returned model.
-            assert result.record.dev_bleu == result.score
-
-    def test_compaction_matches_solo_training(self):
-        # Force only some pairs to stop early; the survivors must end
-        # up identical to training alone with the same schedule.
-        config = _config(training_steps=40)
-        tasks = _tasks(seed=41)
-        trainer_args = dict(eval_every=10, patience=2, min_improvement=0.0)
-        together = BatchedPairTrainer(config=config, **trainer_args).train_cohort(tasks)
-        for task, result in zip(tasks, together):
-            alone = BatchedPairTrainer(config=config, **trainer_args).train_cohort(
-                [task]
-            )[0]
-            _assert_states_equal(alone.model, result.model)
-            assert alone.record.eval_history == result.record.eval_history
-            assert alone.record.stopped_early == result.record.stopped_early

@@ -1,4 +1,4 @@
-"""Tests for the pair trainer and early stopping."""
+"""Tests for chunked seq2seq training continuity."""
 
 from __future__ import annotations
 
@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.lang import ParallelCorpus
-from repro.translation import (
-    NGramTranslator,
-    NMTConfig,
-    PairTrainer,
-    train_with_early_stopping,
-)
+from repro.translation import NMTConfig
 
 
 @pytest.fixture(scope="module")
@@ -20,66 +15,6 @@ def corpora():
     train = ParallelCorpus.from_sentences("src", "tgt", sentences[:12], sentences[:12])
     dev = ParallelCorpus.from_sentences("src", "tgt", sentences[12:], sentences[12:])
     return train, dev
-
-
-class TestPairTrainer:
-    def test_records_timing_and_score(self, corpora):
-        train, dev = corpora
-        trainer = PairTrainer(model_factory=NGramTranslator)
-        model, record = trainer.fit_pair(train, dev)
-        assert model.fitted
-        assert record.source == "src" and record.target == "tgt"
-        assert record.train_seconds > 0
-        assert record.eval_seconds > 0
-        assert 0.0 <= record.dev_bleu <= 100.0
-        assert record.total_seconds == record.train_seconds + record.eval_seconds
-
-
-class TestEarlyStopping:
-    def test_stops_early_on_easy_pair(self, corpora):
-        train, dev = corpora
-        config = NMTConfig(
-            embedding_size=10,
-            hidden_size=14,
-            num_layers=1,
-            dropout=0.0,
-            training_steps=1200,  # generous budget the copy task won't need
-            batch_size=8,
-            learning_rate=5e-3,
-            seed=0,
-        )
-        model, record = train_with_early_stopping(
-            train, dev, config, eval_every=80, patience=2
-        )
-        assert record.stopped_early
-        assert len(record.loss_history) < config.training_steps
-        assert record.dev_bleu > 80.0
-        assert len(record.eval_history) >= 2
-        # Eval steps recorded in increasing order.
-        steps = [s for s, _ in record.eval_history]
-        assert steps == sorted(steps)
-
-    def test_respects_total_budget(self, corpora):
-        train, dev = corpora
-        config = NMTConfig(
-            embedding_size=8,
-            hidden_size=8,
-            num_layers=1,
-            dropout=0.0,
-            training_steps=60,
-            batch_size=8,
-            seed=1,
-        )
-        model, record = train_with_early_stopping(
-            train, dev, config, eval_every=40, patience=99
-        )
-        assert len(record.loss_history) <= config.training_steps
-        assert not record.stopped_early or len(record.loss_history) < 60
-
-    def test_invalid_parameters(self, corpora):
-        train, dev = corpora
-        with pytest.raises(ValueError):
-            train_with_early_stopping(train, dev, NMTConfig.small(), eval_every=0)
 
 
 class TestChunkedTrainingContinuity:
@@ -107,25 +42,3 @@ class TestChunkedTrainingContinuity:
         state_full, state_chunked = full.state_dict(), chunked.state_dict()
         for key in state_full:
             np.testing.assert_array_equal(state_full[key], state_chunked[key], err_msg=key)
-
-
-class TestBestWeightsRestored:
-    def test_reported_bleu_describes_returned_model(self, corpora):
-        # Later chunks may degrade the model below its best evaluation;
-        # the best weights are restored so record.dev_bleu is always
-        # reproducible by rescoring the returned model.
-        train, dev = corpora
-        config = NMTConfig(
-            embedding_size=8,
-            hidden_size=10,
-            num_layers=1,
-            dropout=0.0,
-            training_steps=90,
-            batch_size=8,
-            seed=3,
-        )
-        model, record = train_with_early_stopping(
-            train, dev, config, eval_every=15, patience=3, min_improvement=0.0
-        )
-        assert record.dev_bleu == model.score(dev)
-        assert record.dev_bleu == max(bleu for _, bleu in record.eval_history)
