@@ -14,6 +14,7 @@ import numpy as np
 from conftest import run_once
 from repro.graph import MultivariateRelationshipGraph
 from repro.lang import LanguageConfig, MultivariateEventLog
+from repro.pipeline import FrameworkConfig
 from repro.report import ascii_table
 from repro.translation import NMTConfig
 
@@ -33,17 +34,21 @@ def build_graph(engine: str) -> MultivariateRelationshipGraph:
     return MultivariateRelationshipGraph.build(
         train,
         dev,
-        config=LanguageConfig(word_size=4, word_stride=1, sentence_length=5, sentence_stride=5),
-        engine=engine,
-        nmt_config=NMTConfig(
-            embedding_size=12,
-            hidden_size=16,
-            num_layers=2,
-            dropout=0.0,
-            training_steps=180,
-            batch_size=12,
-            learning_rate=5e-3,
-            seed=0,
+        FrameworkConfig(
+            language=LanguageConfig(
+                word_size=4, word_stride=1, sentence_length=5, sentence_stride=5
+            ),
+            engine=engine,
+            nmt=NMTConfig(
+                embedding_size=12,
+                hidden_size=16,
+                num_layers=2,
+                dropout=0.0,
+                training_steps=180,
+                batch_size=12,
+                learning_rate=5e-3,
+                seed=0,
+            ),
         ),
     )
 

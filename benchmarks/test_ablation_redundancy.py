@@ -35,8 +35,7 @@ def test_ablation_redundancy_filtering(benchmark, plant_dataset, plant_study):
         reduced_graph = MultivariateRelationshipGraph.build(
             train.select(representatives),
             dev.select(representatives),
-            config=config.language,
-            engine=config.engine,
+            config,
         )
         reduced_seconds = time.perf_counter() - start
         return groups, reduced_graph, reduced_seconds

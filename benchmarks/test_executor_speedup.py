@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.graph import MultivariateRelationshipGraph
 from repro.lang import LanguageConfig, MultivariateEventLog
+from repro.pipeline import FrameworkConfig
 from repro.translation.ngram import NGramTranslator
 
 PAIR_LATENCY_SECONDS = 0.03
@@ -54,15 +55,16 @@ def six_sensor_log(total: int = 480) -> MultivariateEventLog:
 
 
 def timed_build(log, n_jobs: int, model_factory=None) -> tuple[float, dict]:
-    config = LanguageConfig(word_size=4, word_stride=1, sentence_length=5, sentence_stride=5)
+    config = FrameworkConfig(
+        language=LanguageConfig(
+            word_size=4, word_stride=1, sentence_length=5, sentence_stride=5
+        ),
+        n_jobs=n_jobs,
+        executor_backend="thread" if n_jobs > 1 else "auto",
+    )
     start = time.perf_counter()
     graph = MultivariateRelationshipGraph.build(
-        log.slice(0, 360),
-        log.slice(360, 480),
-        config=config,
-        model_factory=model_factory,
-        n_jobs=n_jobs,
-        backend="thread" if n_jobs > 1 else "auto",
+        log.slice(0, 360), log.slice(360, 480), config, model_factory=model_factory
     )
     return time.perf_counter() - start, graph.scores()
 

@@ -28,8 +28,9 @@ from pathlib import Path
 
 from repro.datasets import PlantConfig, generate_plant_dataset
 from repro.graph import MultivariateRelationshipGraph
-from repro.graph.prescreen import DEFAULT_FLOORS, PrescreenConfig
+from repro.graph.prescreen import CONTEXT_ORDER, DEFAULT_FLOORS
 from repro.lang import LanguageConfig
+from repro.pipeline import FrameworkConfig
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_pairs.json"
 BENCH_SCHEMA = "repro-prescreen-scaling-v1"
@@ -76,18 +77,17 @@ def plant_split(num_sensors: int):
 def timed_build(train, dev, prescreen):
     start = time.perf_counter()
     graph = MultivariateRelationshipGraph.build(
-        train, dev, config=LANGUAGE, engine="ngram", prescreen=prescreen
+        train, dev, FrameworkConfig(language=LANGUAGE, engine="ngram", prescreen=prescreen)
     )
     return time.perf_counter() - start, graph
 
 
 def test_prescreen_reduces_trained_models_and_writes_bench():
-    prescreen_config = PrescreenConfig()
     sizes = []
     for num_sensors in bench_sizes():
         train, dev = plant_split(num_sensors)
         full_wall, full = timed_build(train, dev, prescreen="off")
-        pruned_wall, pruned = timed_build(train, dev, prescreen=prescreen_config)
+        pruned_wall, pruned = timed_build(train, dev, prescreen="bleu")
 
         trained_full = len(full.build_report.completed)
         trained_pruned = len(pruned.build_report.completed)
@@ -140,9 +140,9 @@ def test_prescreen_reduces_trained_models_and_writes_bench():
             "sentence_stride": LANGUAGE.sentence_stride,
         },
         "prescreen": {
-            "method": prescreen_config.method,
-            "max_order": prescreen_config.max_order,
-            "floor": DEFAULT_FLOORS[prescreen_config.method],
+            "method": "bleu",
+            "max_order": CONTEXT_ORDER,
+            "floor": DEFAULT_FLOORS["bleu"],
         },
         "sizes": sizes,
     }

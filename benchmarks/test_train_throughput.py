@@ -27,6 +27,7 @@ import pytest
 from repro.datasets import PlantConfig, generate_plant_dataset
 from repro.graph import MultivariateRelationshipGraph
 from repro.lang import LanguageConfig
+from repro.pipeline import FrameworkConfig
 from repro.translation.seq2seq import NMTConfig
 
 BENCH_SCHEMA = "repro-train-v1"
@@ -59,10 +60,9 @@ def _logs():
     return train, dev
 
 
-def _build(train, dev, **kwargs):
-    return MultivariateRelationshipGraph.build(
-        train, dev, config=LANG, engine="seq2seq", nmt_config=_nmt(), **kwargs
-    )
+def _build(train, dev, **fields):
+    config = FrameworkConfig(language=LANG, engine="seq2seq", nmt=_nmt(), **fields)
+    return MultivariateRelationshipGraph.build(train, dev, config)
 
 
 @pytest.mark.slow
@@ -71,7 +71,7 @@ def test_batched_engine_throughput():
 
     looped = _build(train, dev)
     looped_report = looped.build_report
-    batched = _build(train, dev, train_engine="batched", cohort_size=COHORT_SIZE)
+    batched = _build(train, dev, train_engine="batched", train_cohort_size=COHORT_SIZE)
     batched_report = batched.build_report
 
     assert set(looped.relationships) == set(batched.relationships)

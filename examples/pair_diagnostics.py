@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.graph import MultivariateRelationshipGraph
 from repro.lang import LanguageConfig, MultivariateEventLog
+from repro.pipeline import FrameworkConfig
 from repro.translation import diagnose_pair
 
 
@@ -38,8 +39,12 @@ def main() -> None:
     graph = MultivariateRelationshipGraph.build(
         log.slice(0, 400),
         log.slice(400, 600),
-        config=LanguageConfig(word_size=4, word_stride=1, sentence_length=5, sentence_stride=5),
-        engine="ngram",
+        FrameworkConfig(
+            language=LanguageConfig(
+                word_size=4, word_stride=1, sentence_length=5, sentence_stride=5
+            ),
+            engine="ngram",
+        ),
     )
 
     print("Edge scores:")

@@ -15,7 +15,6 @@ from .prescreen import (
     affinity_matrix,
     pair_affinity,
     prescreen_pairs,
-    resolve_floor,
 )
 from .ranges import DEFAULT_RANGES, DETECTION_RANGE, STRONGEST_RANGE, ScoreRange
 from .subgraphs import (
@@ -61,7 +60,6 @@ __all__ = [
     "popular_sensors",
     "prescreen_pairs",
     "rank_by_in_degree",
-    "resolve_floor",
     "save_graph_json",
     "save_graphml",
     "score_asymmetry",

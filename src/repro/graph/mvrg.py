@@ -10,16 +10,17 @@ the scores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import networkx as nx
 import numpy as np
 
-from ..lang.corpus import LanguageConfig, MultiLanguageCorpus
+from ..lang.corpus import MultiLanguageCorpus
 from ..lang.events import MultivariateEventLog
 from ..translation.base import TranslationModel
-from ..translation.factory import translator_factory
-from ..translation.seq2seq import NMTConfig
+
+if TYPE_CHECKING:  # pragma: no cover - the pipeline imports this module
+    from ..pipeline.config import FrameworkConfig
 
 __all__ = ["PairwiseRelationship", "MultivariateRelationshipGraph"]
 
@@ -100,21 +101,13 @@ class MultivariateRelationshipGraph:
         cls,
         training_log: MultivariateEventLog,
         development_log: MultivariateEventLog,
-        config: LanguageConfig | None = None,
-        engine: str = "ngram",
-        nmt_config: NMTConfig | None = None,
+        config: "FrameworkConfig | None" = None,
+        *,
         model_factory: Callable[[], TranslationModel] | None = None,
         pairs: Iterable[tuple[str, str]] | None = None,
         progress: Callable[[str, str, float], None] | None = None,
-        n_jobs: int | str = 1,
-        backend: str = "auto",
-        train_engine: str = "looped",
-        cohort_size: int | None = None,
-        retries: int = 1,
         store: "ArtifactStore | str | None" = None,
-        representation: str = "codes",
         metrics: "MetricsRegistry | None" = None,
-        prescreen: "str | PrescreenConfig | None" = "off",
     ) -> "MultivariateRelationshipGraph":
         """Run Algorithm 1 as a stage graph.
 
@@ -125,11 +118,13 @@ class MultivariateRelationshipGraph:
             vocabularies) are fitted on the training log; BLEU scores
             ``s(i, j)`` are measured on the development log.
         config:
-            Language windowing configuration; defaults to the paper's
-            plant settings.
-        engine, nmt_config, model_factory:
-            Translation engine selection; ``model_factory`` overrides
-            ``engine`` when given.
+            The :class:`~repro.pipeline.config.FrameworkConfig` that
+            describes the build: windowing, sentence representation,
+            translation engine, pair-training engine and workers, and
+            the pair prescreen.  Defaults to ``FrameworkConfig()``.
+        model_factory:
+            Custom translator factory used instead of ``config.engine``;
+            it cannot be combined with ``train_engine="batched"``.
         pairs:
             Optional subset of ordered pairs to model (default: all
             ``N(N-1)`` ordered pairs, as in the paper).
@@ -137,23 +132,6 @@ class MultivariateRelationshipGraph:
             Optional callback ``(source, target, score)`` invoked after
             each pair is fitted (completion order under parallel
             builds), for long-running builds.
-        n_jobs, backend:
-            Worker pool for the pair-training loop (see
-            :class:`~repro.pipeline.executor.PairExecutor`).  The
-            default is the serial single-process build; parallel
-            builds produce byte-identical scores because every pair
-            model trains independently from a fresh seeded factory.
-        train_engine, cohort_size:
-            ``"looped"`` (default) trains each pair model on its own;
-            ``"batched"`` (seq2seq engine only) advances cohorts of up
-            to ``cohort_size`` shape-compatible pairs in lockstep
-            inside one tensor program (see
-            :class:`~repro.translation.BatchedPairTrainer` for the
-            equivalence contract), overriding ``backend``.
-        retries:
-            Per-pair retry budget; a pair failing every attempt is
-            recorded as a skipped edge in ``build_report`` instead of
-            aborting the build.
         store:
             Optional content-addressed artifact cache (path or
             :class:`~repro.pipeline.artifacts.ArtifactStore`).  Pairs
@@ -162,31 +140,14 @@ class MultivariateRelationshipGraph:
             with unchanged logs and config trains zero pairs.  Each
             trained pair is saved as it finishes, so rerunning a
             killed build with the same store resumes it.
-        representation:
-            Sentence representation of the fitted languages: ``"codes"``
-            (default, packed integer word keys over the interned
-            columnar event core) or ``"strings"`` (legacy encrypted
-            character strings).  Scores are bit-identical either way;
-            codes are faster and smaller.
         metrics:
             Optional :class:`~repro.obs.MetricsRegistry` receiving
             stage timings, cache hit/miss counts and pair-training
             counters for this build; a run-private registry is created
             when omitted.
-        prescreen:
-            Pair-affinity prescreen (see :mod:`repro.graph.prescreen`
-            and ``docs/prescreen.md``): ``"off"`` (default) trains the
-            full requested grid, bit-identically to builds before the
-            prescreen existed; ``"bleu"`` prunes unordered pairs whose
-            cheap affinity falls below the calibrated floor before any
-            model trains; a
-            :class:`~repro.graph.prescreen.PrescreenConfig` sets the
-            floor/ordering explicitly.  Pruned pairs are recorded in
-            ``build_report.pruned`` and the full
-            :class:`~repro.graph.prescreen.PrescreenResult` on the
-            returned graph's ``prescreen`` attribute.
         """
         from ..pipeline.artifacts import ArtifactStore
+        from ..pipeline.config import FrameworkConfig
         from ..pipeline.stages import (
             CorpusStage,
             EncryptStage,
@@ -198,47 +159,39 @@ class MultivariateRelationshipGraph:
         )
         from .prescreen import PrescreenConfig
 
-        config = config or LanguageConfig()
-        if prescreen is None or prescreen == "off":
-            prescreen_config = None
-        elif isinstance(prescreen, PrescreenConfig):
-            prescreen_config = prescreen
-        else:
-            prescreen_config = PrescreenConfig(method=prescreen)
-        if train_engine not in ("looped", "batched"):
-            raise ValueError(
-                f"unknown train engine {train_engine!r}; choose from ('looped', 'batched')"
+        if config is None:
+            config = FrameworkConfig()
+        elif not isinstance(config, FrameworkConfig):
+            raise TypeError(
+                f"config must be a FrameworkConfig, got {type(config).__name__}"
             )
-        if model_factory is not None:
-            if train_engine == "batched":
-                raise ValueError("train_engine='batched' requires engine='seq2seq'")
-            spec = ("factory", model_factory)
+        batched = config.train_engine == "batched"
+        if model_factory is None:
+            spec = ("engine", config.engine, config.nmt)
+        elif batched:
+            raise ValueError("train_engine='batched' cannot train a model_factory")
         else:
-            translator_factory(engine, nmt_config)  # validate the engine name early
-            spec = ("engine", engine, nmt_config)
-            if train_engine == "batched":
-                if engine != "seq2seq":
-                    raise ValueError(
-                        "train_engine='batched' requires engine='seq2seq' "
-                        f"(got engine={engine!r})"
-                    )
-                backend = "batched"
+            spec = ("factory", model_factory)
         if store is not None and not isinstance(store, ArtifactStore):
             store = ArtifactStore(store)
 
         seeds = {
             "training_log": training_log,
             "development_log": development_log,
-            "language_config": config,
-            "representation": representation,
+            "language_config": config.language,
+            "representation": config.representation,
             "factory_spec": spec,
             "pairs": pairs,
-            "prescreen_config": prescreen_config,
+            "prescreen_config": (
+                None
+                if config.prescreen == "off"
+                else PrescreenConfig(method=config.prescreen, floor=config.prescreen_floor)
+            ),
             "executor_options": {
-                "n_jobs": n_jobs,
-                "backend": backend,
-                "cohort_size": cohort_size,
-                "retries": retries,
+                "n_jobs": config.n_jobs,
+                "backend": "batched" if batched else config.executor_backend,
+                "cohort_size": config.train_cohort_size,
+                "retries": 1,
                 "progress": progress,
             },
         }

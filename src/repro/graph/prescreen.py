@@ -38,15 +38,16 @@ from .community import walktrap_communities
 
 __all__ = [
     "BLEU_GEOMETRY_EXPONENT",
+    "CONTEXT_ORDER",
     "DEFAULT_FLOORS",
     "DEGENERATE_AFFINITY",
     "PRESCREEN_METHODS",
     "PrescreenConfig",
     "PrescreenResult",
+    "WALK_LENGTH",
     "affinity_matrix",
     "pair_affinity",
     "prescreen_pairs",
-    "resolve_floor",
 ]
 
 #: Supported affinity proxies (plus ``"off"`` at the config/CLI layer,
@@ -78,49 +79,35 @@ BLEU_GEOMETRY_EXPONENT = 2.5
 DEFAULT_FLOORS = {"bleu": 55.0}
 
 
+#: Highest source n-gram length pooled into the proxy's leave-one-out
+#: counts.  3 mirrors the translator's backoff: high orders only
+#: contribute where their contexts repeat, which keeps pairs whose
+#: structure lives in longer-range context from being mis-scored by a
+#: unigram-only view.  A higher order memorises more and prunes less.
+CONTEXT_ORDER = 3
+
+#: Random-walk length of the Walktrap partition that orders the kept
+#: pairs (see :func:`~repro.graph.community.walktrap_communities`).
+WALK_LENGTH = 4
+
+
 @dataclass(frozen=True)
 class PrescreenConfig:
-    """How the prescreen scores, prunes and orders the pair grid.
+    """Which proxy the prescreen scores with and where it prunes.
 
     Attributes
     ----------
     method:
         ``"bleu"`` (leave-one-out mapping predictability in the
         translator's own context), the only proxy.
-    max_order:
-        Highest source n-gram length pooled into the proxy's
-        leave-one-out counts.  The default 3
-        mirrors the translator's backoff: high orders only contribute
-        where their contexts repeat, which keeps pairs whose structure
-        lives in longer-range context from being mis-scored by a
-        unigram-only view.  Raising it further memorises more and
-        prunes less.
     floor:
         Explicit affinity floor on the predicted-BLEU scale; pairs with
         affinity strictly below it are pruned.  ``None`` selects the
-        method's calibrated default (:data:`DEFAULT_FLOORS`), capped by
-        ``max_prune_fraction``.
-    max_prune_fraction:
-        Safety valve on calibrated floors: the resolved floor never
-        prunes more than this fraction of the scored pairs.  The
-        default 1.0 disables the cap (the calibrated floor is already
-        evidence-based); an explicit ``floor`` is always applied
-        verbatim, without the cap.
-    community_order:
-        When true, surviving pairs are reordered by Walktrap
-        communities of the prescreen graph so dense intra-cluster
-        pairs train first.  Ordering never changes any score.
-    walk_length:
-        Random-walk length handed to
-        :func:`~repro.graph.community.walktrap_communities`.
+        method's calibrated default (:data:`DEFAULT_FLOORS`).
     """
 
     method: str = "bleu"
-    max_order: int = 3
     floor: float | None = None
-    max_prune_fraction: float = 1.0
-    community_order: bool = True
-    walk_length: int = 4
 
     def __post_init__(self) -> None:
         if self.method not in PRESCREEN_METHODS:
@@ -128,14 +115,8 @@ class PrescreenConfig:
                 f"unknown prescreen method {self.method!r}; "
                 f"choose from {PRESCREEN_METHODS}"
             )
-        if self.max_order < 1:
-            raise ValueError("max_order must be >= 1")
         if self.floor is not None and not 0.0 <= self.floor <= 100.0:
             raise ValueError("floor must lie in [0, 100]")
-        if not 0.0 <= self.max_prune_fraction <= 1.0:
-            raise ValueError("max_prune_fraction must lie in [0, 1]")
-        if self.walk_length < 1:
-            raise ValueError("walk_length must be >= 1")
 
 
 # ----------------------------------------------------------------------
@@ -159,13 +140,13 @@ def pair_affinity(
     Symmetric by construction: the proxy takes the better of the two
     mapping directions.  Degenerate inputs (no aligned sentences,
     zero-length sentences) return :data:`DEGENERATE_AFFINITY` rather
-    than raising.
+    than raising.  ``config`` names the proxy; ``"bleu"`` is the only
+    one.
     """
-    config = config or PrescreenConfig()
     if min(len(sources), len(targets)) == 0:
         return DEGENERATE_AFFINITY
     try:
-        forward, reverse = mapping_proxy_scores(sources, targets, config.max_order)
+        forward, reverse = mapping_proxy_scores(sources, targets, CONTEXT_ORDER)
     except ValueError:
         return DEGENERATE_AFFINITY
     return _bleu_scale(max(forward, reverse))
@@ -183,7 +164,6 @@ def affinity_matrix(
     construction).  Cost is ``O(N^2)`` cheap counting passes — no model
     is trained.
     """
-    config = config or PrescreenConfig()
     sensors = list(corpus.sensors)
     matrix = np.zeros((len(sensors), len(sensors)))
     corpora = [corpus[name].sentences for name in sensors]
@@ -197,26 +177,6 @@ def affinity_matrix(
 # ----------------------------------------------------------------------
 # Floor calibration and pruning
 # ----------------------------------------------------------------------
-def resolve_floor(affinities: np.ndarray, config: PrescreenConfig) -> float:
-    """The affinity floor actually applied to a set of pair affinities.
-
-    An explicit ``config.floor`` is used verbatim.  Otherwise the
-    method's calibrated default (:data:`DEFAULT_FLOORS`) applies;
-    when ``config.max_prune_fraction`` is below 1.0 the floor is
-    lowered if necessary so at most that fraction of the scored pairs
-    fall below it — a dataset where everything looks weakly related
-    then prunes less rather than gutting the graph.
-    """
-    if config.floor is not None:
-        return float(config.floor)
-    floor = DEFAULT_FLOORS[config.method]
-    values = np.asarray(affinities, dtype=np.float64).ravel()
-    if values.size == 0 or config.max_prune_fraction >= 1.0:
-        return floor
-    cap = float(np.quantile(values, config.max_prune_fraction))
-    return min(floor, cap)
-
-
 @dataclass
 class PrescreenResult:
     """What the prescreen pass measured and decided.
@@ -224,7 +184,7 @@ class PrescreenResult:
     ``kept_pairs`` preserves the orientation and multiplicity of the
     requested pair list (both directed pairs of a pruned unordered pair
     are dropped together); ``communities`` is the Walktrap partition of
-    the surviving prescreen graph when community ordering is on.
+    the surviving prescreen graph (``None`` when no pair is kept).
     """
 
     sensors: list[str]
@@ -281,13 +241,13 @@ def prescreen_pairs(
     config: PrescreenConfig | None = None,
     pairs: Iterable[tuple[str, str]] | None = None,
 ) -> PrescreenResult:
-    """Score, prune and (optionally) reorder Algorithm 1's pair grid.
+    """Score, prune and community-order Algorithm 1's pair grid.
 
     ``pairs`` defaults to all ``N(N-1)`` ordered pairs, exactly as
     :meth:`~repro.graph.mvrg.MultivariateRelationshipGraph.build`
-    would enumerate them.  The floor is resolved against the
-    affinities of the requested unordered pairs only, so custom pair
-    subsets calibrate on their own distribution.
+    would enumerate them.  The floor is the config's explicit
+    ``floor`` or the method's calibrated default
+    (:data:`DEFAULT_FLOORS`).
     """
     config = config or PrescreenConfig()
     start = time.perf_counter()
@@ -297,11 +257,7 @@ def prescreen_pairs(
         pair_list = list(itertools.permutations(sensors, 2))
     else:
         pair_list = list(pairs)
-    unordered = {tuple(sorted(pair)) for pair in pair_list if pair[0] != pair[1]}
-    scored = np.asarray(
-        [matrix[index[a], index[b]] for a, b in sorted(unordered)], dtype=np.float64
-    )
-    floor = resolve_floor(scored, config)
+    floor = DEFAULT_FLOORS[config.method] if config.floor is None else float(config.floor)
     kept = [
         pair
         for pair in pair_list
@@ -309,7 +265,7 @@ def prescreen_pairs(
     ]
     pruned = [pair for pair in pair_list if pair not in set(kept)]
     communities = None
-    if config.community_order and kept:
+    if kept:
         graph = nx.Graph()
         graph.add_nodes_from(sensors)
         for source, target in kept:
@@ -317,7 +273,7 @@ def prescreen_pairs(
                 graph.add_edge(
                     source, target, weight=matrix[index[source], index[target]]
                 )
-        communities = walktrap_communities(graph, walk_length=config.walk_length)
+        communities = walktrap_communities(graph, walk_length=WALK_LENGTH)
         kept = _community_ordered(kept, communities)
     return PrescreenResult(
         sensors=sensors,

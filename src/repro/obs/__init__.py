@@ -3,13 +3,13 @@
 This package is the framework-wide measurement substrate:
 
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
-  gauges and histogram timers; thread-safe, mergeable across executor
+  gauges and histograms; thread-safe, mergeable across executor
   workers and serialisable to JSON (``repro-metrics-v1`` snapshots);
 - :mod:`repro.obs.logs` — the ``repro`` logger hierarchy with a
   NullHandler default and the :func:`configure_logging` entry point
   (text or JSON lines);
-- :mod:`repro.obs.timing` — :class:`Stopwatch`, :func:`span` and
-  :func:`timed` for span-style wall-clock measurement.
+- :mod:`repro.obs.timing` — :class:`Stopwatch` and :func:`span` for
+  span-style wall-clock measurement.
 
 It deliberately imports nothing from the rest of the library, so every
 layer (pipeline, translation, detection, CLI) can depend on it without
@@ -26,7 +26,7 @@ from .metrics import (
     MetricsRegistry,
     atomic_write_text,
 )
-from .timing import Stopwatch, span, timed
+from .timing import Stopwatch, span
 
 __all__ = [
     "Counter",
@@ -41,5 +41,4 @@ __all__ = [
     "configure_logging",
     "get_logger",
     "span",
-    "timed",
 ]

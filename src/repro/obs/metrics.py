@@ -1,12 +1,12 @@
-"""In-process metrics: counters, gauges and histogram timers.
+"""In-process metrics: counters, gauges and histograms.
 
 A :class:`MetricsRegistry` is a named bag of metrics with three types:
 
 - :class:`Counter` — a monotonically increasing count (``inc``);
 - :class:`Gauge` — a point-in-time value (``set``);
 - :class:`Histogram` — a streaming summary of observations (count,
-  total, min, max, mean) with a :meth:`Histogram.time` context manager
-  for wall-clock spans.
+  total, min, max, mean); :func:`repro.obs.span` times a block into
+  one.
 
 Registries are thread-safe (one re-entrant lock per registry, shared by
 its metrics), *mergeable* — :meth:`MetricsRegistry.merge` folds another
@@ -159,10 +159,6 @@ class Histogram(_Metric):
     def mean(self) -> float | None:
         return self.total / self.count if self.count else None
 
-    def time(self) -> "_HistogramTimer":
-        """Context manager observing the elapsed wall-clock seconds."""
-        return _HistogramTimer(self)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "type": self.kind,
@@ -180,26 +176,6 @@ class Histogram(_Metric):
         self.total += other.total
         self.min = other.min if self.min is None else min(self.min, other.min)
         self.max = other.max if self.max is None else max(self.max, other.max)
-
-
-class _HistogramTimer:
-    """``with histogram.time():`` — records the block's duration."""
-
-    def __init__(self, histogram: Histogram) -> None:
-        self._histogram = histogram
-        self.seconds: float | None = None
-
-    def __enter__(self) -> "_HistogramTimer":
-        import time
-
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        import time
-
-        self.seconds = time.perf_counter() - self._start
-        self._histogram.observe(self.seconds)
 
 
 _METRIC_TYPES: dict[str, type[_Metric]] = {
@@ -254,10 +230,6 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         """The histogram named ``name`` (created empty on first use)."""
         return self._get(name, Histogram)  # type: ignore[return-value]
-
-    def timer(self, name: str) -> _HistogramTimer:
-        """Shorthand for ``histogram(name).time()``."""
-        return self.histogram(name).time()
 
     # ------------------------------------------------------------------
     def __contains__(self, name: str) -> bool:

@@ -1,29 +1,23 @@
-"""Span-style timing: stopwatches, context managers and decorators.
+"""Span-style timing: stopwatches and context managers.
 
-These replace the ad-hoc ``time.perf_counter()`` bookkeeping that used
-to be sprinkled through the trainer and pipeline: a timed block either
-uses :class:`Stopwatch` (when the caller needs the number itself, e.g.
-to build a :class:`~repro.translation.trainer.TrainingRecord`) or
-:func:`span` (when the duration should land in a
+A timed block either uses :class:`Stopwatch` (when the caller needs
+the number itself, e.g. to build a
+:class:`~repro.translation.trainer.TrainingRecord`) or :func:`span`
+(when the duration should land in a
 :class:`~repro.obs.metrics.MetricsRegistry` histogram and/or a DEBUG
-log line).  :func:`timed` wraps a whole function or method the same
-way.
+log line).
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Iterator
 
-from .logs import get_logger
 from .metrics import MetricsRegistry
 
-__all__ = ["Stopwatch", "span", "timed"]
-
-F = TypeVar("F", bound=Callable[..., Any])
+__all__ = ["Stopwatch", "span"]
 
 
 class Stopwatch:
@@ -93,32 +87,3 @@ def span(
                 seconds,
                 extra={"span": name, "seconds": seconds, **fields},
             )
-
-
-def timed(
-    name: str,
-    metrics: "MetricsRegistry | str | None" = None,
-    logger: "logging.Logger | str | None" = None,
-    level: int = logging.DEBUG,
-) -> Callable[[F], F]:
-    """Decorator form of :func:`span`.
-
-    ``metrics`` may be a registry, or the name of an attribute holding
-    one on the first positional argument (``"metrics"`` on a method's
-    ``self``); ``logger`` may be a logger or a hierarchy name for
-    :func:`~repro.obs.logs.get_logger`.
-    """
-    resolved_logger = get_logger(logger) if isinstance(logger, str) else logger
-
-    def decorate(function: F) -> F:
-        @functools.wraps(function)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            registry = metrics
-            if isinstance(registry, str):
-                registry = getattr(args[0], registry, None) if args else None
-            with span(name, metrics=registry, logger=resolved_logger, level=level):
-                return function(*args, **kwargs)
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate

@@ -8,6 +8,7 @@ from ..graph.prescreen import PRESCREEN_METHODS
 from ..graph.ranges import DEFAULT_RANGES, DETECTION_RANGE, ScoreRange
 from ..graph.subgraphs import POPULAR_IN_DEGREE
 from ..lang.corpus import REPRESENTATIONS, LanguageConfig
+from ..translation.factory import ENGINES
 from ..translation.seq2seq import NMTConfig
 from .executor import BACKENDS as EXECUTOR_BACKENDS
 
@@ -28,8 +29,11 @@ _EXECUTOR_BACKENDS = tuple(name for name in EXECUTOR_BACKENDS if name != "batche
 class FrameworkConfig:
     """Everything needed to train and run the framework.
 
-    Defaults are the paper's plant settings with the fast n-gram
-    engine; pass ``engine="seq2seq"`` (and optionally a small
+    It is the one description of an Algorithm 1 build:
+    :meth:`~repro.graph.MultivariateRelationshipGraph.build` and
+    :meth:`~repro.pipeline.AnalyticsFramework.fit` take every setting
+    from it.  Defaults are the paper's plant settings with the fast
+    n-gram engine; pass ``engine="seq2seq"`` (and optionally a small
     :class:`NMTConfig`) for the faithful neural pipeline.
     ``representation`` picks the sentence encoding: ``"codes"``
     (default; packed integer word keys over the columnar event core)
@@ -74,6 +78,10 @@ class FrameworkConfig:
     prescreen_floor: float | None = None
 
     def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown translation engine {self.engine!r}; choose from {ENGINES}"
+            )
         if self.prescreen not in ("off", *PRESCREEN_METHODS):
             raise ValueError(
                 f"unknown prescreen method {self.prescreen!r}; "

@@ -208,7 +208,8 @@ class PairExecutor:
         pairs in lockstep cohorts inside one tensor program (see
         :class:`~repro.translation.BatchedPairTrainer`); pairs whose
         corpora cannot be packed, or a whole cohort that fails, fall
-        back to serial looped training.
+        back to serial looped training.  Any other engine or a custom
+        factory is refused with ``ValueError``.
     cohort_size:
         Maximum pairs per batched cohort (``None`` uses the trainer's
         default); only meaningful with the ``"batched"`` backend.
@@ -266,11 +267,7 @@ class PairExecutor:
         if self.backend == "batched":
             if spec[0] == "engine" and spec[1] == "seq2seq":
                 return "batched"
-            logger.warning(
-                "batched backend requires the seq2seq engine; "
-                "falling back to auto resolution"
-            )
-            return "serial" if self.n_jobs == 1 else "thread"
+            raise ValueError("the batched backend requires the seq2seq engine")
         if self.n_jobs == 1 or self.backend == "serial":
             return "serial"
         if self.backend != "auto":

@@ -74,18 +74,17 @@ class AnalyticsFramework:
         training_log: MultivariateEventLog,
         development_log: MultivariateEventLog,
         progress: Callable[[str, str, float], None] | None = None,
-        n_jobs: int | str | None = None,
-        backend: str | None = None,
         cache_dir: "str | Path | ArtifactStore | bool | None" = None,
     ) -> "AnalyticsFramework":
         """Build the relationship graph from normal-operation logs.
 
-        ``n_jobs``/``backend`` override the config's executor settings
-        for this fit.  ``cache_dir`` overrides the config's artifact
-        cache: a path or :class:`~repro.pipeline.artifacts.ArtifactStore`
-        enables content-addressed incremental rebuilds, ``False``
-        disables caching even when the config names a cache directory.
-        Pairs are saved to the cache as they finish, so rerunning an
+        The build is described by ``self.config`` alone (see
+        :meth:`MultivariateRelationshipGraph.build`).  ``cache_dir``
+        overrides the config's artifact cache: a path or
+        :class:`~repro.pipeline.artifacts.ArtifactStore` enables
+        content-addressed incremental rebuilds, ``False`` disables
+        caching even when the config names a cache directory.  Pairs
+        are saved to the cache as they finish, so rerunning an
         interrupted fit with the same cache resumes it.  The resulting
         :attr:`build_report` records completed, cached, skipped and
         (when ``config.prescreen`` is enabled) pruned pairs.
@@ -93,37 +92,13 @@ class AnalyticsFramework:
         self.graph = MultivariateRelationshipGraph.build(
             training_log,
             development_log,
-            config=self.config.language,
-            engine=self.config.engine,
-            nmt_config=self.config.nmt,
+            self.config,
             progress=progress,
-            n_jobs=self.config.n_jobs if n_jobs is None else n_jobs,
-            backend=self.config.executor_backend if backend is None else backend,
-            train_engine=self.config.train_engine,
-            cohort_size=self.config.train_cohort_size,
             store=self._resolve_store(cache_dir),
-            representation=getattr(self.config, "representation", "codes"),
             metrics=self.metrics,
-            prescreen=self._resolve_prescreen(),
         )
         self._detect_stage = DetectStage(self.graph, self.config, metrics=self.metrics)
         return self
-
-    def _resolve_prescreen(self):
-        """The config's prescreen selection as a build argument.
-
-        ``getattr`` defaults keep frameworks pickled before the
-        prescreen existed working; an explicit ``prescreen_floor``
-        upgrades the method string to a full
-        :class:`~repro.graph.prescreen.PrescreenConfig`.
-        """
-        method = getattr(self.config, "prescreen", "off")
-        floor = getattr(self.config, "prescreen_floor", None)
-        if method == "off" or floor is None:
-            return method
-        from ..graph.prescreen import PrescreenConfig
-
-        return PrescreenConfig(method=method, floor=floor)
 
     def _resolve_store(
         self, cache_dir: "str | Path | ArtifactStore | bool | None"

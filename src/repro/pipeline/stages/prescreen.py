@@ -33,7 +33,9 @@ class PrescreenStage(Stage):
     """
 
     name = "prescreen"
-    version = "1"
+    # 2: PrescreenConfig lost its fixed fields (order, community
+    # ordering, walk length, prune cap), which changes its fingerprint.
+    version = "2"
     inputs = (
         "training_log",
         "language_config",

@@ -7,6 +7,7 @@ import pytest
 
 from repro.graph import MultivariateRelationshipGraph
 from repro.lang import LanguageConfig, MultivariateEventLog
+from repro.pipeline import FrameworkConfig
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +27,12 @@ def graph(logs):
     return MultivariateRelationshipGraph.build(
         train,
         dev,
-        config=LanguageConfig(word_size=4, word_stride=1, sentence_length=5, sentence_stride=5),
-        engine="ngram",
+        FrameworkConfig(
+            language=LanguageConfig(
+                word_size=4, word_stride=1, sentence_length=5, sentence_stride=5
+            ),
+            engine="ngram",
+        ),
     )
 
 
@@ -67,7 +72,7 @@ class TestBuild:
         graph = MultivariateRelationshipGraph.build(
             train,
             dev,
-            config=LanguageConfig(word_size=4, sentence_length=5),
+            FrameworkConfig(language=LanguageConfig(word_size=4, sentence_length=5)),
             pairs=[("sA", "sB")],
         )
         assert graph.num_edges == 1
@@ -78,7 +83,7 @@ class TestBuild:
         MultivariateRelationshipGraph.build(
             train,
             dev,
-            config=LanguageConfig(word_size=4, sentence_length=5),
+            FrameworkConfig(language=LanguageConfig(word_size=4, sentence_length=5)),
             pairs=[("sA", "sB"), ("sB", "sC")],
             progress=lambda s, t, score: calls.append((s, t)),
         )
@@ -90,7 +95,7 @@ class TestBuild:
             MultivariateRelationshipGraph.build(
                 train,
                 dev.select(["sA", "sB"]),
-                config=LanguageConfig(word_size=4, sentence_length=5),
+                FrameworkConfig(language=LanguageConfig(word_size=4, sentence_length=5)),
             )
 
 

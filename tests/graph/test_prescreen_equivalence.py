@@ -20,6 +20,7 @@ from repro.datasets import PlantConfig, generate_plant_dataset
 from repro.graph.ranges import DEFAULT_RANGES
 from repro.lang import LanguageConfig
 from repro.graph.mvrg import MultivariateRelationshipGraph
+from repro.pipeline import FrameworkConfig
 from repro.pipeline.artifacts import ArtifactStore
 from repro.pipeline.executor import PairTask, train_pair
 from repro.pipeline.stages import (
@@ -66,9 +67,8 @@ def noisy_plant_split():
 
 
 def _build(train, dev, prescreen, store=None):
-    return MultivariateRelationshipGraph.build(
-        train, dev, config=LANGUAGE, engine="ngram", prescreen=prescreen, store=store
-    )
+    config = FrameworkConfig(language=LANGUAGE, engine="ngram", prescreen=prescreen)
+    return MultivariateRelationshipGraph.build(train, dev, config, store=store)
 
 
 def _legacy_build(train, dev, store):
@@ -116,8 +116,11 @@ class TestOffBitIdentical:
         assert list(off_store.keys(kind="prescreen")) == []
 
     def test_none_is_off(self, noisy_plant_split):
+        # A config that sets no prescreen builds with it off.
         train, dev = noisy_plant_split
-        graph = _build(train, dev, prescreen=None)
+        graph = MultivariateRelationshipGraph.build(
+            train, dev, FrameworkConfig(language=LANGUAGE)
+        )
         assert graph.prescreen is None
         assert graph.build_report.pruned == []
 

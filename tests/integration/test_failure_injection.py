@@ -92,10 +92,14 @@ class TestPairFailureInjection:
         return MultivariateRelationshipGraph.build(
             three_sensor_log(400),
             three_sensor_log(200),
-            config=LanguageConfig(word_size=4, word_stride=1, sentence_length=5, sentence_stride=5),
+            FrameworkConfig(
+                language=LanguageConfig(
+                    word_size=4, word_stride=1, sentence_length=5, sentence_stride=5
+                ),
+                n_jobs=n_jobs,
+                executor_backend="thread",
+            ),
             model_factory=factory,
-            n_jobs=n_jobs,
-            backend="thread",
         )
 
     def test_transient_failure_is_retried_once_and_recovers(self):
@@ -141,10 +145,14 @@ class TestPairFailureInjection:
             MultivariateRelationshipGraph.build(
                 three_sensor_log(400).select(["sA", "sB"]),
                 three_sensor_log(200).select(["sA", "sB"]),
-                config=LanguageConfig(word_size=4, word_stride=1, sentence_length=5, sentence_stride=5),
+                FrameworkConfig(
+                    language=LanguageConfig(
+                        word_size=4, word_stride=1, sentence_length=5, sentence_stride=5
+                    ),
+                    n_jobs=2,
+                    executor_backend="thread",
+                ),
                 model_factory=_Broken,
-                n_jobs=2,
-                backend="thread",
             )
 
 

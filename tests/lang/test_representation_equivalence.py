@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.graph import MultivariateRelationshipGraph
+from repro.pipeline import FrameworkConfig
 from repro.lang import (
     LanguageConfig,
     MultiLanguageCorpus,
@@ -152,9 +153,12 @@ class TestScoreEquivalence:
 
 
 class TestGraphEquivalence:
-    def build(self, log, config, **kwargs):
+    def build(self, log, config, store=None, **fields):
         return MultivariateRelationshipGraph.build(
-            log.slice(0, 480), log.slice(480, 600), config=config, **kwargs
+            log.slice(0, 480),
+            log.slice(480, 600),
+            FrameworkConfig(language=config, **fields),
+            store=store,
         )
 
     def test_edge_weights_identical_across_representations(self, log, config):
@@ -164,7 +168,7 @@ class TestGraphEquivalence:
 
     def test_serial_parallel_cached_builds_identical(self, log, config, tmp_path):
         serial = self.build(log, config)
-        parallel = self.build(log, config, n_jobs=2, backend="thread")
+        parallel = self.build(log, config, n_jobs=2, executor_backend="thread")
         cold = self.build(log, config, store=tmp_path / "cache")
         warm = self.build(log, config, store=tmp_path / "cache")
         assert serial.scores() == parallel.scores() == cold.scores() == warm.scores()

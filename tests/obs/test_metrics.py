@@ -59,13 +59,6 @@ class TestHistogram:
         assert hist.min == 1.0 and hist.max == 3.0
         assert hist.mean == pytest.approx(2.0)
 
-    def test_time_context_manager_observes(self):
-        registry = MetricsRegistry()
-        with registry.timer("h") as timer:
-            pass
-        assert timer.seconds is not None and timer.seconds >= 0.0
-        assert registry.histogram("h").count == 1
-
 
 class TestMerge:
     def test_counters_and_histograms_accumulate(self):

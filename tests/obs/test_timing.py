@@ -1,4 +1,4 @@
-"""Tests for stopwatches, spans and the timed decorator."""
+"""Tests for stopwatches and spans."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.obs import MetricsRegistry, Stopwatch, configure_logging, get_logger, span, timed
+from repro.obs import MetricsRegistry, Stopwatch, configure_logging, get_logger, span
 
 
 class TestStopwatch:
@@ -76,44 +76,3 @@ def _capture_json_logs():
         if handler not in before:
             root.removeHandler(handler)
     root.setLevel(before_level)
-
-
-class TestTimed:
-    def test_with_registry(self):
-        registry = MetricsRegistry()
-
-        @timed("f.seconds", metrics=registry)
-        def f(x):
-            return x + 1
-
-        assert f(1) == 2
-        assert registry.histogram("f.seconds").count == 1
-
-    def test_with_attribute_name_resolves_on_self(self):
-        class Service:
-            def __init__(self):
-                self.metrics = MetricsRegistry()
-
-            @timed("service.seconds", metrics="metrics")
-            def work(self):
-                return "done"
-
-        service = Service()
-        assert service.work() == "done"
-        assert service.metrics.histogram("service.seconds").count == 1
-
-    def test_missing_attribute_is_noop(self):
-        class Bare:
-            @timed("bare.seconds", metrics="metrics")
-            def work(self):
-                return 42
-
-        assert Bare().work() == 42
-
-    def test_preserves_function_metadata(self):
-        @timed("g.seconds")
-        def g():
-            """docstring"""
-
-        assert g.__name__ == "g"
-        assert g.__doc__ == "docstring"

@@ -16,17 +16,29 @@ import pytest
 
 from repro.detection import AnomalyDetector
 from repro.graph import MultivariateRelationshipGraph, ScoreRange
-from repro.pipeline import ArtifactStore, PairExecutor
+from repro.pipeline import ArtifactStore, FrameworkConfig, PairExecutor
 from repro.translation.ngram import NGramTranslator
 from repro.translation.seq2seq import NMTConfig
 
 FULL_RANGE = ScoreRange(0, 100, inclusive_high=True)
 
 
-def build_graph(log, config, **kwargs):
+def build_graph(
+    log, language, model_factory=None, pairs=None, progress=None, store=None, **fields
+):
+    """Build over the log's first 360/next 120 samples; ``fields`` go to
+    the :class:`FrameworkConfig`."""
     train = log.slice(0, 360)
     dev = log.slice(360, 480)
-    return MultivariateRelationshipGraph.build(train, dev, config=config, **kwargs)
+    return MultivariateRelationshipGraph.build(
+        train,
+        dev,
+        FrameworkConfig(language=language, **fields),
+        model_factory=model_factory,
+        pairs=pairs,
+        progress=progress,
+        store=store,
+    )
 
 
 def detect_scores(graph, log):
@@ -72,7 +84,7 @@ class TestSerialParallelEquivalence:
     def test_ngram_scores_byte_identical(self, executor_log, executor_language_config):
         serial = build_graph(executor_log, executor_language_config, n_jobs=1)
         parallel = build_graph(
-            executor_log, executor_language_config, n_jobs=4, backend="thread"
+            executor_log, executor_language_config, n_jobs=4, executor_backend="thread"
         )
         assert pickle.dumps(serial.scores()) == pickle.dumps(parallel.scores())
         for pair in serial.relationships:
@@ -83,7 +95,7 @@ class TestSerialParallelEquivalence:
     def test_ngram_detection_identical(self, executor_log, executor_language_config):
         serial = build_graph(executor_log, executor_language_config, n_jobs=1)
         parallel = build_graph(
-            executor_log, executor_language_config, n_jobs=4, backend="thread"
+            executor_log, executor_language_config, n_jobs=4, executor_backend="thread"
         )
         np.testing.assert_array_equal(
             detect_scores(serial, executor_log), detect_scores(parallel, executor_log)
@@ -93,7 +105,7 @@ class TestSerialParallelEquivalence:
         log = executor_log.select(["sA", "sB", "sC"])
         serial = build_graph(log, executor_language_config, n_jobs=1)
         parallel = build_graph(
-            log, executor_language_config, n_jobs=2, backend="process"
+            log, executor_language_config, n_jobs=2, executor_backend="process"
         )
         assert pickle.dumps(serial.scores()) == pickle.dumps(parallel.scores())
 
@@ -110,10 +122,10 @@ class TestSerialParallelEquivalence:
             batch_size=4,
             seed=3,
         )
-        kwargs = dict(engine="seq2seq", nmt_config=nmt)
+        kwargs = dict(engine="seq2seq", nmt=nmt)
         serial = build_graph(log, executor_language_config, n_jobs=1, **kwargs)
         parallel = build_graph(
-            log, executor_language_config, n_jobs=4, backend="thread", **kwargs
+            log, executor_language_config, n_jobs=4, executor_backend="thread", **kwargs
         )
         assert pickle.dumps(serial.scores()) == pickle.dumps(parallel.scores())
         np.testing.assert_array_equal(
@@ -126,7 +138,7 @@ class TestSerialParallelEquivalence:
             executor_log,
             executor_language_config,
             n_jobs=4,
-            backend="thread",
+            executor_backend="thread",
             progress=lambda s, t, score: seen.append((s, t, score)),
         )
         assert {(s, t) for s, t, _ in seen} == set(graph.relationships)
@@ -134,7 +146,7 @@ class TestSerialParallelEquivalence:
 
     def test_build_report_attached(self, executor_log, executor_language_config):
         graph = build_graph(
-            executor_log, executor_language_config, n_jobs=2, backend="thread"
+            executor_log, executor_language_config, n_jobs=2, executor_backend="thread"
         )
         report = graph.build_report
         assert report.ok
@@ -224,7 +236,7 @@ class TestKilledBuildResume:
                 executor_language_config,
                 model_factory=KillAfter(5),
                 n_jobs=2,
-                backend="thread",
+                executor_backend="thread",
                 store=store,
             )
         stored = len(list(store.keys("pair")))
@@ -233,7 +245,7 @@ class TestKilledBuildResume:
             executor_language_config,
             model_factory=CachedCountingFactory(),
             n_jobs=2,
-            backend="thread",
+            executor_backend="thread",
             store=store,
         )
         report = resumed.build_report
@@ -258,7 +270,7 @@ class TestKilledBuildResume:
                 executor_language_config,
                 model_factory=counting,
                 n_jobs=1 if backend == "serial" else 2,
-                backend=backend,
+                executor_backend=backend,
                 store=FullDiskStore(tmp_path / "cache"),
             )
         # Not retried, not degraded to skipped edges (twelve skips would

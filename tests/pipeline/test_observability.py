@@ -87,8 +87,10 @@ class TestFitMetrics:
         MultivariateRelationshipGraph.build(
             small_log.slice(0, 360),
             small_log.slice(360, 480),
-            config=LanguageConfig(
-                word_size=4, word_stride=1, sentence_length=5, sentence_stride=5
+            FrameworkConfig(
+                language=LanguageConfig(
+                    word_size=4, word_stride=1, sentence_length=5, sentence_stride=5
+                )
             ),
             metrics=registry,
         )
@@ -187,11 +189,12 @@ class TestExecutorFailureMetrics:
         graph = MultivariateRelationshipGraph.build(
             small_log.slice(0, 360),
             small_log.slice(360, 480),
-            config=LanguageConfig(
-                word_size=4, word_stride=1, sentence_length=5, sentence_stride=5
+            FrameworkConfig(
+                language=LanguageConfig(
+                    word_size=4, word_stride=1, sentence_length=5, sentence_stride=5
+                )
             ),
             model_factory=FlakyThenOk(),
-            retries=1,
             metrics=registry,
         )
         assert graph.build_report.ok
@@ -204,11 +207,12 @@ class TestExecutorFailureMetrics:
         graph = MultivariateRelationshipGraph.build(
             small_log.slice(0, 360),
             small_log.slice(360, 480),
-            config=LanguageConfig(
-                word_size=4, word_stride=1, sentence_length=5, sentence_stride=5
+            FrameworkConfig(
+                language=LanguageConfig(
+                    word_size=4, word_stride=1, sentence_length=5, sentence_stride=5
+                )
             ),
             model_factory=AlwaysFailsFor("sA"),
-            retries=1,
             metrics=registry,
         )
         assert len(graph.build_report.skipped) == 2  # sA->sB, sA->sC

@@ -331,7 +331,7 @@ class TestWholeStageCaching:
         serial = build_graph(log, executor_language_config, n_jobs=1)
         store = ArtifactStore(tmp_path / "cache")
         parallel = build_graph(
-            log, executor_language_config, n_jobs=4, backend="thread", store=store
+            log, executor_language_config, n_jobs=4, executor_backend="thread", store=store
         )
         cached = build_graph(log, executor_language_config, n_jobs=1, store=store)
         assert pickle.dumps(serial.scores()) == pickle.dumps(parallel.scores())

@@ -2,7 +2,8 @@
 
 Covers the ``batched`` executor backend, the ``train_engine`` /
 ``train_cohort_size`` configuration knobs, cache sharing between the
-looped and batched engines, metric emission and graceful fallback.
+looped and batched engines, metric emission and the refusal of
+non-seq2seq engines.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from repro.graph import MultivariateRelationshipGraph
 from repro.lang import LanguageConfig, MultivariateEventLog
 from repro.obs import MetricsRegistry
 from repro.pipeline import AnalyticsFramework, FrameworkConfig, PairExecutor
+from repro.translation.ngram import NGramTranslator
 from repro.translation.seq2seq import NMTConfig
 
 LANG = LanguageConfig(word_size=4, word_stride=1, sentence_length=5, sentence_stride=5)
@@ -37,10 +39,11 @@ def logs():
     return log.slice(0, 300), log.slice(300, 480)
 
 
-def _build(logs, **kwargs):
+def _build(logs, store=None, metrics=None, **fields):
     train, dev = logs
+    config = FrameworkConfig(language=LANG, engine="seq2seq", nmt=_nmt(), **fields)
     return MultivariateRelationshipGraph.build(
-        train, dev, config=LANG, engine="seq2seq", nmt_config=_nmt(), **kwargs
+        train, dev, config, store=store, metrics=metrics
     )
 
 
@@ -48,7 +51,9 @@ class TestBatchedBuild:
     def test_same_graph_as_looped(self, logs):
         looped = _build(logs)
         metrics = MetricsRegistry()
-        batched = _build(logs, train_engine="batched", cohort_size=4, metrics=metrics)
+        batched = _build(
+            logs, train_engine="batched", train_cohort_size=4, metrics=metrics
+        )
 
         assert set(looped.relationships) == set(batched.relationships)
         for pair, relationship in looped.relationships.items():
@@ -67,7 +72,7 @@ class TestBatchedBuild:
         assert "cohorts" in report.to_dict()
 
     def test_cohort_size_one_still_works(self, logs):
-        graph = _build(logs, train_engine="batched", cohort_size=1)
+        graph = _build(logs, train_engine="batched", train_cohort_size=1)
         assert graph.build_report.cohorts == 6
         assert len(graph.build_report.completed) == 6
 
@@ -85,18 +90,28 @@ class TestBatchedBuild:
         train, dev = logs
         with pytest.raises(ValueError, match="batched"):
             MultivariateRelationshipGraph.build(
-                train, dev, config=LANG, engine="ngram", train_engine="batched"
+                train,
+                dev,
+                FrameworkConfig(language=LANG, engine="ngram", train_engine="batched"),
             )
         with pytest.raises(ValueError, match="train engine"):
             _build(logs, train_engine="vectorised")
+        with pytest.raises(ValueError, match="model_factory"):
+            MultivariateRelationshipGraph.build(
+                train,
+                dev,
+                FrameworkConfig(language=LANG, engine="seq2seq", train_engine="batched"),
+                model_factory=NGramTranslator,
+            )
 
 
 class TestExecutorBackend:
     def test_backend_resolution(self):
         executor = PairExecutor(backend="batched")
         assert executor.resolve_backend(("engine", "seq2seq", None)) == "batched"
-        # Non-seq2seq specs degrade to looped execution with a warning.
-        assert executor.resolve_backend(("engine", "ngram", None)) == "serial"
+        # Non-seq2seq specs are refused rather than trained looped.
+        with pytest.raises(ValueError, match="seq2seq"):
+            executor.resolve_backend(("engine", "ngram", None))
 
     def test_rejects_bad_cohort_size(self):
         with pytest.raises(ValueError, match="cohort_size"):
@@ -116,6 +131,8 @@ class TestFrameworkConfig:
     def test_validates_knobs(self):
         with pytest.raises(ValueError, match="train engine"):
             FrameworkConfig(train_engine="turbo")
+        with pytest.raises(ValueError, match="translation engine"):
+            FrameworkConfig(engine="bogus")
         with pytest.raises(ValueError, match="train_cohort_size"):
             FrameworkConfig(
                 engine="seq2seq", train_engine="batched", train_cohort_size=0
@@ -143,3 +160,22 @@ class TestFrameworkConfig:
         framework = AnalyticsFramework(config).fit(train, dev)
         assert framework.build_report.backend == "batched"
         assert framework.build_report.cohorts >= 1
+
+    def test_looped_config_never_trains_batched(self, logs):
+        # The config is the only engine selector: fit has no per-call
+        # backend override that could switch a looped build to batched.
+        train, dev = logs
+        config = FrameworkConfig(
+            language=LANG, engine="seq2seq", nmt=_nmt(), train_engine="looped"
+        )
+        framework = AnalyticsFramework(config)
+        with pytest.raises(TypeError):
+            framework.fit(train, dev, backend="batched")
+        framework.fit(train, dev)
+        assert framework.build_report.backend != "batched"
+        assert framework.build_report.cohorts == 0
+
+    def test_build_rejects_a_language_config(self, logs):
+        train, dev = logs
+        with pytest.raises(TypeError, match="FrameworkConfig"):
+            MultivariateRelationshipGraph.build(train, dev, config=LANG)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.graph import MultivariateRelationshipGraph
 from repro.lang import LanguageConfig, MultivariateEventLog
+from repro.pipeline import FrameworkConfig
 from repro.translation import diagnose_pair
 
 
@@ -22,8 +23,12 @@ def graph():
     return MultivariateRelationshipGraph.build(
         log.slice(0, 320),
         log.slice(320, 480),
-        config=LanguageConfig(word_size=4, word_stride=1, sentence_length=5, sentence_stride=5),
-        engine="ngram",
+        FrameworkConfig(
+            language=LanguageConfig(
+                word_size=4, word_stride=1, sentence_length=5, sentence_stride=5
+            ),
+            engine="ngram",
+        ),
     )
 
 
